@@ -2,12 +2,12 @@
  * @file
  * Step-0 blind topology calibration accuracy/cost and its CI gate.
  *
- * Runs the registered Stage::Calibrate scenarios (see src/calib/) and
- * writes one BENCH_calib.json entry per scenario: per-field
- * match/mismatch rates against the true machine configuration
- * (w_llc_match, w_sf_match, slices_match, uncertainty_match,
- * topology_match), the measured geometry, and the calibration cost in
- * simulated cycles and TestEviction executions.
+ * Runs the Stage::Calibrate cells it owns (see src/calib/) and writes
+ * one BENCH_calib.json entry per cell: per-field match rates against
+ * the true machine configuration (w_llc_match, w_sf_match,
+ * slices_match, uncertainty_match, topology_match), the measured
+ * geometry, and the calibration cost in simulated cycles and
+ * TestEviction executions.
  *
  *   bench_calib --list                   enumerate calibration cells
  *   bench_calib                          run every cell, full trials
@@ -20,259 +20,19 @@
  *                                        cycles inside the relative
  *                                        band; exits 1 on a violation
  *
- * For a fixed seed the JSON is byte-identical at any worker-thread
- * count (each calibration world is rebuilt from its positional trial
- * stream; CI diffs 1-thread vs 8-thread --smoke runs).  The
- * checked-in baseline at the repository root is regenerated with:
+ * The driver and the gate are shared (suite.hh); this suite's bands
+ * live in domains.cc.  For a fixed seed the JSON is byte-identical at
+ * any worker-thread count (CI diffs 1-thread vs 8-thread --smoke
+ * runs).  The checked-in baseline at the repository root is
+ * regenerated with:
  *   ./build/bench_calib --smoke --json-out=BENCH_calib.json
  */
 
-#include "bench_common.hh"
-
-#include <cstdio>
-
-#include "harness/json.hh"
-#include "scenario/registry.hh"
-
-namespace llcf {
-namespace {
-
-/** Absolute drift allowed on per-field match rates by the gate: one
- *  trial of a 2-3 trial cell may flip without failing CI. */
-constexpr double kRateTolerance = 0.51;
-
-/** Relative drift allowed on the calib_cycles mean. */
-constexpr double kCyclesTolerance = 0.5;
-
-/** Outcomes the baseline gate bands (the per-field accuracy axes). */
-constexpr const char *kGatedOutcomes[] = {
-    "calibrated", "w_llc_match", "w_sf_match", "slices_match",
-    "topology_match"};
-
-std::vector<const ScenarioSpec *>
-calibSpecs(const ScenarioRegistry &reg, bool scenario_given,
-           const std::string &selection)
-{
-    std::vector<const ScenarioSpec *> specs;
-    if (!scenario_given) {
-        for (const ScenarioSpec &s : reg.all()) {
-            if (s.stage == ScenarioStage::Calibrate &&
-                !s.defense.recordsMetrics()) // bench_defense's domain
-                specs.push_back(&s);
-        }
-        return specs;
-    }
-    if (selection.empty())
-        return specs;
-    for (const ScenarioSpec *s : reg.select(selection)) {
-        if (s->stage != ScenarioStage::Calibrate) {
-            std::fprintf(stderr,
-                         "bench_calib: '%s' is a %s scenario, not a "
-                         "calibration (those run under bench_matrix "
-                         "or bench_e2e)\n",
-                         s->name.c_str(), scenarioStageName(s->stage));
-            std::exit(2);
-        }
-        specs.push_back(s);
-    }
-    return specs;
-}
-
-void
-listCells(const std::vector<const ScenarioSpec *> &specs)
-{
-    std::printf("%-24s %-18s %-8s %-15s %s\n", "name", "machine",
-                "repl", "noise", "description");
-    for (const ScenarioSpec *s : specs) {
-        char machine[32];
-        std::snprintf(machine, sizeof(machine), "%s/%usl",
-                      scenarioMachineName(s->machine), s->slices);
-        std::printf("%-24s %-18s %-8s %-15s %s\n", s->name.c_str(),
-                    machine, replKindName(s->sharedRepl),
-                    s->noise.c_str(), s->description.c_str());
-    }
-}
-
-void
-printCellRow(const ExperimentResult &r)
-{
-    auto rate = [&r](const char *name) {
-        const SuccessRate *sr = r.outcome(name);
-        return sr ? sr->rate() * 100.0 : 0.0;
-    };
-    const SampleStats *cycles = r.metric("calib_cycles");
-    std::printf("  %-24s calib %5.1f%%  W %5.1f%%/%5.1f%%  "
-                "slices %5.1f%%  topo %5.1f%%  cost %10s\n",
-                r.name().c_str(), rate("calibrated"),
-                rate("w_llc_match"), rate("w_sf_match"),
-                rate("slices_match"), rate("topology_match"),
-                cycles && !cycles->empty()
-                    ? formatDuration(cycles->mean()).c_str()
-                    : "-");
-}
-
-/**
- * Gate the suite against a checked-in baseline.  Returns the number
- * of violations; a stale or unreadable baseline counts as one so the
- * gate cannot silently pass.
- */
-unsigned
-gateAgainstBaseline(const ExperimentSuite &suite,
-                    const std::string &path)
-{
-    JsonValue doc;
-    if (!benchLoadBaseline(path, doc))
-        return 1;
-    const double rate_tol =
-        benchBaselineTolerance(doc, "rate_tolerance", kRateTolerance);
-    const double cyc_tol = benchBaselineTolerance(
-        doc, "cycles_tolerance", kCyclesTolerance);
-
-    unsigned violations = 0;
-    for (const ExperimentResult &r : suite.results()) {
-        const JsonValue *base = benchBaselineEntry(doc, r.name());
-        if (!base) {
-            std::fprintf(stderr,
-                         "FAIL %s: cell missing from baseline "
-                         "(regenerate %s)\n",
-                         r.name().c_str(), path.c_str());
-            ++violations;
-            continue;
-        }
-        for (const char *name : kGatedOutcomes) {
-            const JsonValue *want =
-                base->find("outcomes", name, "rate");
-            const SuccessRate *got = r.outcome(name);
-            if (!want || !want->isNumber() || !got) {
-                std::fprintf(stderr,
-                             "FAIL %s: no comparable %s rate "
-                             "(regenerate %s)\n",
-                             r.name().c_str(), name, path.c_str());
-                ++violations;
-                continue;
-            }
-            const double w = want->asNumber();
-            if (got->rate() < w - rate_tol ||
-                got->rate() > w + rate_tol) {
-                std::fprintf(stderr,
-                             "FAIL %s/%s: %.3f outside "
-                             "[%.3f, %.3f]\n",
-                             r.name().c_str(), name, got->rate(),
-                             w - rate_tol, w + rate_tol);
-                ++violations;
-            }
-        }
-        const JsonValue *mean =
-            base->find("metrics", "calib_cycles", "mean");
-        const SampleStats *cycles = r.metric("calib_cycles");
-        if (!mean || !mean->isNumber() || !cycles ||
-            cycles->empty()) {
-            std::fprintf(stderr,
-                         "FAIL %s: no comparable calib_cycles "
-                         "(regenerate %s)\n",
-                         r.name().c_str(), path.c_str());
-            ++violations;
-        } else {
-            const double want = mean->asNumber();
-            const double lo = want * (1.0 - cyc_tol);
-            const double hi = want * (1.0 + cyc_tol);
-            if (cycles->mean() < lo || cycles->mean() > hi) {
-                std::fprintf(stderr,
-                             "FAIL %s/calib_cycles: %.4g outside "
-                             "[%.4g, %.4g] (baseline %.4g)\n",
-                             r.name().c_str(), cycles->mean(), lo, hi,
-                             want);
-                ++violations;
-            }
-        }
-    }
-    if (violations == 0)
-        std::printf("calib gate: all cells within band of %s\n",
-                    path.c_str());
-    return violations;
-}
-
-int
-benchMain(bool list, bool smoke, bool scenario_given,
-          const std::string &selection, const std::string &baseline)
-{
-    const auto specs = calibSpecs(builtinScenarios(), scenario_given,
-                                  selection);
-    if (list) {
-        listCells(specs);
-        return 0;
-    }
-    if (specs.empty()) {
-        std::fprintf(stderr,
-                     "bench_calib: no calibration scenarios matched "
-                     "'%s' (try --list)\n",
-                     selection.c_str());
-        return 1;
-    }
-
-    benchPrintHeader("Step-0 blind topology calibration");
-    ExperimentSuite suite("calib");
-    suite.contextValue("rate_tolerance", kRateTolerance);
-    suite.contextValue("cycles_tolerance", kCyclesTolerance);
-    for (const ScenarioSpec *spec : specs) {
-        const std::size_t trials =
-            smoke ? std::min<std::size_t>(spec->defaultTrials, 2)
-                  : trialCount(spec->defaultTrials);
-        ExperimentResult result =
-            runScenario(*spec, trials, 0, baseSeed());
-        printCellRow(result);
-        suite.add(std::move(result));
-    }
-
-    // Gate before writing: when the output path and the baseline are
-    // the same file, writing first would clobber the baseline and
-    // gate the run against itself.
-    const bool gate_ok =
-        baseline.empty() || gateAgainstBaseline(suite, baseline) == 0;
-    const std::string out = suite.writeFile();
-    if (out.empty()) {
-        std::fprintf(stderr, "failed to write JSON output\n");
-        return 1;
-    }
-    std::printf("wrote %s\n", out.c_str());
-    return gate_ok ? 0 : 1;
-}
-
-} // namespace
-} // namespace llcf
+#include "suite.hh"
 
 int
 main(int argc, char **argv)
 {
-    bool list = false;
-    bool smoke = false;
-    bool scenario_given = false;
-    std::string selection;
-    std::string baseline;
-    std::vector<std::string> unknown;
-    for (const std::string &arg : llcf::benchParseArgs(argc, argv)) {
-        if (arg == "--list") {
-            list = true;
-        } else if (arg == "--smoke") {
-            smoke = true;
-        } else if (arg.rfind("--scenario=", 0) == 0) {
-            scenario_given = true;
-            if (!selection.empty())
-                selection += ',';
-            selection += arg.substr(sizeof("--scenario=") - 1);
-        } else if (arg.rfind("--baseline=", 0) == 0) {
-            baseline = arg.substr(sizeof("--baseline=") - 1);
-        } else {
-            unknown.push_back(arg);
-        }
-    }
-    if (!llcf::benchRejectExtraArgs(unknown)) {
-        std::fprintf(stderr,
-                     "bench_calib flags: --list --smoke "
-                     "--scenario=<name[,name...]> "
-                     "--baseline=BENCH_calib.json\n");
-        return 2;
-    }
-    return llcf::benchMain(list, smoke, scenario_given, selection,
-                           baseline);
+    return llcf::runSuite(llcf::suiteDomain(llcf::ScenarioSuite::Calib),
+                          argc, argv);
 }

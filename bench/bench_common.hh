@@ -58,9 +58,10 @@ int benchWriteSuite(const ExperimentSuite &suite);
 // ------------------------------------------------- baseline gates
 //
 // Shared plumbing for benches that gate --smoke runs against a
-// checked-in BENCH_*.json baseline (bench_hotpath, bench_e2e,
-// bench_calib).  Gates run *before* the suite is written so a run
-// whose output path equals the baseline cannot gate against itself.
+// checked-in BENCH_*.json baseline (bench_hotpath and the suite
+// driver in suite.cc).  Gates run *before* the suite is written so a
+// run whose output path equals the baseline cannot gate against
+// itself.
 
 /**
  * Load a baseline document and verify it has a "benchmarks" array.

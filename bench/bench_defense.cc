@@ -2,13 +2,13 @@
  * @file
  * The defense-vs-attacker matrix and its CI gate.
  *
- * Runs the registered defense-* scenario cells (see src/defense/ and
- * the defense axis in src/scenario/registry.cc) and writes one
- * BENCH_defense.json entry per cell: the stage's headline success
- * rate under the deployed defense, the attack cost in simulated
- * cycles, and the def_* series (re-keys executed, lines remapped,
- * watchdog probe/miss/fire counts, victim working-set residency) that
- * price the defense itself.
+ * Runs the defense-* cells it owns (see src/defense/ and the defense
+ * axis in src/scenario/registry.cc) and writes one BENCH_defense.json
+ * entry per cell: the stage's headline success rate under the
+ * deployed defense, the attack cost in simulated cycles, and the
+ * def_* series (re-keys executed, lines remapped, watchdog
+ * probe/miss/fire counts, victim working-set residency) that price
+ * the defense itself.
  *
  *   bench_defense --list                    enumerate defense cells
  *   bench_defense                           run every cell, full trials
@@ -30,357 +30,19 @@
  *    succeeding, so "defense wins" can never be an artifact of the
  *    attack being broken everywhere.
  *
- * For a fixed seed the JSON is byte-identical at any worker-thread
- * count (each trial world is rebuilt from its positional stream; CI
- * diffs 1-thread vs 8-thread --smoke runs).  The checked-in baseline
- * at the repository root is regenerated with:
+ * The driver and the gate are shared (suite.hh); the bands and the
+ * invariants live in domains.cc.  For a fixed seed the JSON is
+ * byte-identical at any worker-thread count (CI diffs 1-thread vs
+ * 8-thread --smoke runs).  The checked-in baseline at the repository
+ * root is regenerated with:
  *   ./build/bench_defense --smoke --json-out=BENCH_defense.json
  */
 
-#include "bench_common.hh"
-
-#include <cstdio>
-
-#include "harness/json.hh"
-#include "scenario/registry.hh"
-
-namespace llcf {
-namespace {
-
-/** Absolute drift allowed on success rates by the gate: one trial of
- *  a 2-3 trial smoke cell may flip without failing CI. */
-constexpr double kRateTolerance = 0.51;
-
-/** Relative drift allowed on the attack-cycles mean. */
-constexpr double kCyclesTolerance = 0.5;
-
-/** The cell whose re-key interval must keep killing the attack. */
-constexpr const char *kKillCell = "defense-rekey-fast-tiny-build";
-constexpr double kKillCeiling = 0.10;
-
-/** The undefended reference row that must keep succeeding. */
-constexpr const char *kBaselineCell = "defense-none-tiny-e2e";
-constexpr double kBaselineFloor = 0.50;
-
-/** The stage's headline attack outcome a defense suppresses. */
-const char *
-primaryOutcome(ScenarioStage stage)
-{
-    switch (stage) {
-      case ScenarioStage::EvsetBuild:
-        return "success";
-      case ScenarioStage::Scan:
-      case ScenarioStage::EndToEnd:
-        return "target_correct";
-      case ScenarioStage::Campaign:
-        return "key_recovered";
-      case ScenarioStage::Calibrate:
-        return "topology_match";
-    }
-    return "success";
-}
-
-/** The stage's attack-cost metric (the "extra attacker cycles" axis). */
-const char *
-primaryCycles(ScenarioStage stage)
-{
-    switch (stage) {
-      case ScenarioStage::EvsetBuild:
-        return "build_cycles";
-      case ScenarioStage::Scan:
-        return "scan_cycles";
-      case ScenarioStage::EndToEnd:
-      case ScenarioStage::Campaign:
-        return "total_cycles";
-      case ScenarioStage::Calibrate:
-        return "calib_cycles";
-    }
-    return "build_cycles";
-}
-
-std::vector<const ScenarioSpec *>
-defenseSpecs(const ScenarioRegistry &reg, bool scenario_given,
-             const std::string &selection)
-{
-    std::vector<const ScenarioSpec *> specs;
-    if (!scenario_given) {
-        for (const ScenarioSpec &s : reg.all()) {
-            if (s.defense.recordsMetrics())
-                specs.push_back(&s);
-        }
-        return specs;
-    }
-    if (selection.empty())
-        return specs;
-    for (const ScenarioSpec *s : reg.select(selection)) {
-        if (!s->defense.recordsMetrics()) {
-            std::fprintf(stderr,
-                         "bench_defense: '%s' has no defense axis "
-                         "(those cells run under bench_matrix, "
-                         "bench_e2e or bench_calib)\n",
-                         s->name.c_str());
-            std::exit(2);
-        }
-        specs.push_back(s);
-    }
-    return specs;
-}
-
-void
-listCells(const std::vector<const ScenarioSpec *> &specs)
-{
-    std::printf("%-30s %-11s %-12s %-10s %s\n", "name", "stage",
-                "defense", "machine", "description");
-    for (const ScenarioSpec *s : specs) {
-        char machine[32];
-        std::snprintf(machine, sizeof(machine), "%s/%usl",
-                      scenarioMachineName(s->machine), s->slices);
-        std::printf("%-30s %-11s %-12s %-10s %s\n", s->name.c_str(),
-                    scenarioStageName(s->stage),
-                    defenseKindName(s->defense.kind), machine,
-                    s->description.c_str());
-    }
-}
-
-void
-printCellRow(const ScenarioSpec &spec, const ExperimentResult &r)
-{
-    const SuccessRate *sr = r.outcome(primaryOutcome(spec.stage));
-    const SampleStats *cycles = r.metric(primaryCycles(spec.stage));
-    const SampleStats *rekeys = r.metric("def_rekeys");
-    const SampleStats *fires = r.metric("def_wd_fires");
-    const SampleStats *resident = r.metric("def_victim_resident");
-    std::printf("  %-30s %-12s succ %5.1f%%  cost %10s  "
-                "rekeys %6.1f  fires %5.1f  resident %s\n",
-                r.name().c_str(), defenseKindName(spec.defense.kind),
-                sr ? sr->rate() * 100.0 : 0.0,
-                cycles && !cycles->empty()
-                    ? formatDuration(cycles->mean()).c_str()
-                    : "-",
-                rekeys && !rekeys->empty() ? rekeys->mean() : 0.0,
-                fires && !fires->empty() ? fires->mean() : 0.0,
-                resident && !resident->empty()
-                    ? (std::to_string(static_cast<int>(
-                           resident->mean() * 100.0 + 0.5)) + "%")
-                          .c_str()
-                    : "-");
-}
-
-/**
- * The unconditional invariants: the kill cell stays lethal and the
- * undefended baseline row stays alive.  Returns violations.
- */
-unsigned
-gateInvariants(const ExperimentSuite &suite)
-{
-    unsigned violations = 0;
-    for (const ExperimentResult &r : suite.results()) {
-        if (r.name() == kKillCell) {
-            const SuccessRate *sr = r.outcome("success");
-            const double rate = sr ? sr->rate() : 1.0;
-            if (rate >= kKillCeiling) {
-                std::fprintf(stderr,
-                             "FAIL %s: success rate %.3f >= %.2f — "
-                             "the re-key interval no longer kills "
-                             "eviction-set construction\n",
-                             r.name().c_str(), rate, kKillCeiling);
-                ++violations;
-            }
-        }
-        if (r.name() == kBaselineCell) {
-            const SuccessRate *sr = r.outcome("target_correct");
-            const double rate = sr ? sr->rate() : 0.0;
-            if (rate < kBaselineFloor) {
-                std::fprintf(stderr,
-                             "FAIL %s: undefended success rate %.3f "
-                             "< %.2f — the attack itself is broken, "
-                             "defense results are meaningless\n",
-                             r.name().c_str(), rate, kBaselineFloor);
-                ++violations;
-            }
-        }
-    }
-    return violations;
-}
-
-/**
- * Gate the suite against a checked-in baseline.  Returns the number
- * of violations; a stale or unreadable baseline counts as one so the
- * gate cannot silently pass.
- */
-unsigned
-gateAgainstBaseline(const ExperimentSuite &suite,
-                    const std::vector<const ScenarioSpec *> &specs,
-                    const std::string &path)
-{
-    JsonValue doc;
-    if (!benchLoadBaseline(path, doc))
-        return 1;
-    const double rate_tol =
-        benchBaselineTolerance(doc, "rate_tolerance", kRateTolerance);
-    const double cyc_tol = benchBaselineTolerance(
-        doc, "cycles_tolerance", kCyclesTolerance);
-
-    unsigned violations = 0;
-    for (const ExperimentResult &r : suite.results()) {
-        const ScenarioSpec *spec = nullptr;
-        for (const ScenarioSpec *s : specs) {
-            if (s->name == r.name())
-                spec = s;
-        }
-        if (!spec)
-            continue;
-        const JsonValue *base = benchBaselineEntry(doc, r.name());
-        if (!base) {
-            std::fprintf(stderr,
-                         "FAIL %s: cell missing from baseline "
-                         "(regenerate %s)\n",
-                         r.name().c_str(), path.c_str());
-            ++violations;
-            continue;
-        }
-        const char *outcome = primaryOutcome(spec->stage);
-        const JsonValue *want = base->find("outcomes", outcome, "rate");
-        const SuccessRate *got = r.outcome(outcome);
-        const bool want_has = want && want->isNumber();
-        if (!want_has && !got) {
-            // A defense that kills an earlier stage leaves the later
-            // stage's series unrecorded — in the run AND the
-            // baseline.  Both degrading identically is the expected
-            // band, not a gate failure.
-        } else if (!want_has || !got) {
-            std::fprintf(stderr,
-                         "FAIL %s: no comparable %s rate "
-                         "(regenerate %s)\n",
-                         r.name().c_str(), outcome, path.c_str());
-            ++violations;
-        } else {
-            const double w = want->asNumber();
-            if (got->rate() < w - rate_tol ||
-                got->rate() > w + rate_tol) {
-                std::fprintf(stderr,
-                             "FAIL %s/%s: %.3f outside "
-                             "[%.3f, %.3f]\n",
-                             r.name().c_str(), outcome, got->rate(),
-                             w - rate_tol, w + rate_tol);
-                ++violations;
-            }
-        }
-        const char *cost = primaryCycles(spec->stage);
-        const JsonValue *mean = base->find("metrics", cost, "mean");
-        const SampleStats *cycles = r.metric(cost);
-        const bool mean_has = mean && mean->isNumber();
-        const bool cycles_has = cycles && !cycles->empty();
-        if (!mean_has && !cycles_has) {
-            // Same as above: stage never reached on either side.
-        } else if (!mean_has || !cycles_has) {
-            std::fprintf(stderr,
-                         "FAIL %s: no comparable %s "
-                         "(regenerate %s)\n",
-                         r.name().c_str(), cost, path.c_str());
-            ++violations;
-        } else {
-            const double w = mean->asNumber();
-            const double lo = w * (1.0 - cyc_tol);
-            const double hi = w * (1.0 + cyc_tol);
-            if (cycles->mean() < lo || cycles->mean() > hi) {
-                std::fprintf(stderr,
-                             "FAIL %s/%s: %.4g outside "
-                             "[%.4g, %.4g] (baseline %.4g)\n",
-                             r.name().c_str(), cost, cycles->mean(),
-                             lo, hi, w);
-                ++violations;
-            }
-        }
-    }
-    if (violations == 0)
-        std::printf("defense gate: all cells within band of %s\n",
-                    path.c_str());
-    return violations;
-}
-
-int
-benchMain(bool list, bool smoke, bool scenario_given,
-          const std::string &selection, const std::string &baseline)
-{
-    const auto specs = defenseSpecs(builtinScenarios(), scenario_given,
-                                    selection);
-    if (list) {
-        listCells(specs);
-        return 0;
-    }
-    if (specs.empty()) {
-        std::fprintf(stderr,
-                     "bench_defense: no defense scenarios matched "
-                     "'%s' (try --list)\n",
-                     selection.c_str());
-        return 1;
-    }
-
-    benchPrintHeader("Defense-vs-attacker matrix");
-    ExperimentSuite suite("defense");
-    suite.contextValue("rate_tolerance", kRateTolerance);
-    suite.contextValue("cycles_tolerance", kCyclesTolerance);
-    for (const ScenarioSpec *spec : specs) {
-        const std::size_t trials =
-            smoke ? std::min<std::size_t>(spec->defaultTrials, 2)
-                  : trialCount(spec->defaultTrials);
-        ExperimentResult result =
-            runScenario(*spec, trials, 0, baseSeed());
-        printCellRow(*spec, result);
-        suite.add(std::move(result));
-    }
-
-    unsigned violations = gateInvariants(suite);
-    // Gate before writing: when the output path and the baseline are
-    // the same file, writing first would clobber the baseline and
-    // gate the run against itself.
-    if (!baseline.empty())
-        violations += gateAgainstBaseline(suite, specs, baseline);
-    const std::string out = suite.writeFile();
-    if (out.empty()) {
-        std::fprintf(stderr, "failed to write JSON output\n");
-        return 1;
-    }
-    std::printf("wrote %s\n", out.c_str());
-    return violations == 0 ? 0 : 1;
-}
-
-} // namespace
-} // namespace llcf
+#include "suite.hh"
 
 int
 main(int argc, char **argv)
 {
-    bool list = false;
-    bool smoke = false;
-    bool scenario_given = false;
-    std::string selection;
-    std::string baseline;
-    std::vector<std::string> unknown;
-    for (const std::string &arg : llcf::benchParseArgs(argc, argv)) {
-        if (arg == "--list") {
-            list = true;
-        } else if (arg == "--smoke") {
-            smoke = true;
-        } else if (arg.rfind("--scenario=", 0) == 0) {
-            scenario_given = true;
-            if (!selection.empty())
-                selection += ',';
-            selection += arg.substr(sizeof("--scenario=") - 1);
-        } else if (arg.rfind("--baseline=", 0) == 0) {
-            baseline = arg.substr(sizeof("--baseline=") - 1);
-        } else {
-            unknown.push_back(arg);
-        }
-    }
-    if (!llcf::benchRejectExtraArgs(unknown)) {
-        std::fprintf(stderr,
-                     "bench_defense flags: --list --smoke "
-                     "--scenario=<name[,name...]> "
-                     "--baseline=BENCH_defense.json\n");
-        return 2;
-    }
-    return llcf::benchMain(list, smoke, scenario_given, selection,
-                           baseline);
+    return llcf::runSuite(
+        llcf::suiteDomain(llcf::ScenarioSuite::Defense), argc, argv);
 }

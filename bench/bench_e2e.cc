@@ -2,8 +2,8 @@
  * @file
  * Fleet-scale end-to-end key-recovery campaigns and their CI gate.
  *
- * Runs the registered Stage::Campaign scenarios (see src/campaign/)
- * through KeyRecoveryCampaign and writes one BENCH_e2e.json entry per
+ * Runs the Stage::Campaign cells it owns (see src/campaign/) through
+ * KeyRecoveryCampaign and writes one BENCH_e2e.json entry per
  * campaign: the per-victim aggregates plus the fleet summary (keys
  * recovered, fleet success rate, simulated cycles per recovered key).
  *
@@ -29,13 +29,13 @@
  *                                       interrupted run exits 3 and
  *                                       writes no JSON — resume it
  *
- * For a fixed seed the JSON is byte-identical at any worker-thread
- * count, and a resumed run's JSON is byte-identical to an
- * uninterrupted one (each victim world derives from its positional
- * trial stream; shards fold in trial order; CI diffs 1-thread vs
- * 8-thread --smoke runs plus an interrupt/resume pair).  Wall-clock
- * numbers stay on stdout.  The checked-in baselines at the repository
- * root are regenerated with:
+ * The driver and the gate are shared (suite.hh); the campaign runner
+ * and this suite's bands live in domains.cc.  For a fixed seed the
+ * JSON is byte-identical at any worker-thread count, and a resumed
+ * run's JSON is byte-identical to an uninterrupted one (CI diffs
+ * 1-thread vs 8-thread --smoke runs plus an interrupt/resume pair).
+ * Wall-clock numbers stay on stdout.  The checked-in baselines at the
+ * repository root are regenerated with:
  *   ./build/bench_e2e --smoke --json-out=BENCH_e2e.json
  *   ./build/bench_e2e --full-scale --trials=2000 \
  *       --json-out=BENCH_fullscale.json
@@ -45,324 +45,11 @@
  * to reproduce).
  */
 
-#include "bench_common.hh"
-
-#include <cstdio>
-#include <cstdlib>
-
-#include "campaign/campaign.hh"
-#include "harness/json.hh"
-#include "scenario/registry.hh"
-
-namespace llcf {
-namespace {
-
-/** Absolute drift allowed on fleet success rates by the --smoke
- *  gate: one victim of a smoke fleet may flip without failing CI
- *  (the pipeline is deterministic per seed but not per libm). */
-constexpr double kRateTolerance = 0.5;
-
-/** Relative drift allowed on the per-victim total_cycles mean. */
-constexpr double kCyclesTolerance = 0.5;
-
-/** Victims per campaign in --smoke mode. */
-constexpr std::size_t kSmokeFleet = 2;
-
-std::vector<const ScenarioSpec *>
-campaignSpecs(const ScenarioRegistry &reg, bool scenario_given,
-              const std::string &selection)
-{
-    std::vector<const ScenarioSpec *> specs;
-    if (!scenario_given) {
-        // The default and --full-scale selections are disjoint tiers:
-        // fullScaleOnly campaigns are far too large for the default
-        // run, and the default campaigns would dilute the full-scale
-        // document's meaning.
-        for (const ScenarioSpec &s : reg.all()) {
-            if (s.stage == ScenarioStage::Campaign &&
-                s.fullScaleOnly == fullScale() &&
-                !s.defense.recordsMetrics() && // bench_defense's domain
-                !s.trafficDomain())            // bench_traffic's domain
-                specs.push_back(&s);
-        }
-        return specs;
-    }
-    if (selection.empty())
-        return specs;
-    for (const ScenarioSpec *s : reg.select(selection)) {
-        if (s->stage != ScenarioStage::Campaign) {
-            std::fprintf(stderr,
-                         "bench_e2e: '%s' is a %s scenario, not a "
-                         "campaign (those run under bench_matrix)\n",
-                         s->name.c_str(), scenarioStageName(s->stage));
-            std::exit(2);
-        }
-        specs.push_back(s);
-    }
-    return specs;
-}
-
-void
-listCampaigns(const std::vector<const ScenarioSpec *> &specs)
-{
-    std::printf("%-28s %-18s %-8s %8s %-15s %s\n", "name", "machine",
-                "repl", "fleet", "noise", "description");
-    for (const ScenarioSpec *s : specs) {
-        char machine[32];
-        std::snprintf(machine, sizeof(machine), "%s/%usl",
-                      scenarioMachineName(s->machine), s->slices);
-        std::printf("%-28s %-18s %-8s %8u %-15s %s\n", s->name.c_str(),
-                    machine, replKindName(s->sharedRepl), s->fleetSize,
-                    s->noise.c_str(), s->description.c_str());
-    }
-}
-
-/** Recovered keys per *simulated* hour of attack time, the paper's
- *  fleet-cost headline (0 when nothing was recovered). */
-double
-simulatedKeysPerHour(const CampaignSummary &s)
-{
-    if (s.keysRecovered == 0 || s.totalAttackCycles <= 0.0)
-        return 0.0;
-    const double hours =
-        s.totalAttackCycles / (kCpuGhz * 1e9) / 3600.0;
-    return static_cast<double>(s.keysRecovered) / hours;
-}
-
-void
-printCampaignRow(const CampaignResult &r)
-{
-    const CampaignSummary &s = r.summary;
-    std::printf("  %-28s fleet %7zu  keys %6zu  succ %5.1f%%  ",
-                r.name.c_str(), s.fleet, s.keysRecovered,
-                s.fleetSuccessRate * 100.0);
-    if (s.keysRecovered > 0) {
-        std::printf("%10s/key  %8.1f keys/h",
-                    formatDuration(s.cyclesPerRecoveredKey).c_str(),
-                    simulatedKeysPerHour(s));
-    } else {
-        std::printf("%14s  %15s", "-", "-");
-    }
-    // Host wall clock lives on stdout only; the JSON stays a pure
-    // function of (spec, seed, fleet).
-    std::printf("  wall %6.1f s\n", s.wallSeconds);
-}
-
-/**
- * Gate the suite against a checked-in baseline.  Returns the number
- * of violations; a stale or unreadable baseline counts as one so the
- * gate cannot silently pass.
- */
-unsigned
-gateAgainstBaseline(const CampaignSuite &suite, const std::string &path)
-{
-    JsonValue doc;
-    if (!benchLoadBaseline(path, doc))
-        return 1;
-    const double rate_tol =
-        benchBaselineTolerance(doc, "rate_tolerance", kRateTolerance);
-    const double cyc_tol = benchBaselineTolerance(
-        doc, "cycles_tolerance", kCyclesTolerance);
-
-    unsigned violations = 0;
-    for (const CampaignResult &r : suite.results()) {
-        const std::string &name = r.name;
-        const JsonValue *base = benchBaselineEntry(doc, name);
-        if (!base) {
-            std::fprintf(stderr,
-                         "FAIL %s: campaign missing from baseline "
-                         "(regenerate %s)\n",
-                         name.c_str(), path.c_str());
-            ++violations;
-            continue;
-        }
-        const JsonValue *rate =
-            base->find("campaign", "fleet_success_rate");
-        if (!rate || !rate->isNumber()) {
-            std::fprintf(stderr,
-                         "FAIL %s: no baseline fleet_success_rate "
-                         "(regenerate %s)\n",
-                         name.c_str(), path.c_str());
-            ++violations;
-        } else {
-            const double want = rate->asNumber();
-            const double got = r.summary.fleetSuccessRate;
-            if (got < want - rate_tol || got > want + rate_tol) {
-                std::fprintf(stderr,
-                             "FAIL %s/fleet_success_rate: %.3f "
-                             "outside [%.3f, %.3f]\n",
-                             name.c_str(), got, want - rate_tol,
-                             want + rate_tol);
-                ++violations;
-            }
-        }
-        const JsonValue *mean =
-            base->find("metrics", "total_cycles", "mean");
-        const StreamingStats *total =
-            r.aggregate.metric("total_cycles");
-        // A fleet can legitimately record *no* per-victim accuracy or
-        // cycle aggregates (e.g. every victim failed blind Step 0 on
-        // the fork path).  Absent on both sides is consistent; absent
-        // on one side only is a regression.
-        const bool base_has = mean && mean->isNumber();
-        const bool run_has = total && !total->empty();
-        if (!base_has && !run_has)
-            continue;
-        if (!base_has || !run_has) {
-            std::fprintf(stderr,
-                         "FAIL %s: total_cycles %s in the run but %s "
-                         "in the baseline (regenerate %s)\n",
-                         name.c_str(), run_has ? "present" : "absent",
-                         base_has ? "present" : "absent", path.c_str());
-            ++violations;
-            continue;
-        }
-        const double want = mean->asNumber();
-        const double lo = want * (1.0 - cyc_tol);
-        const double hi = want * (1.0 + cyc_tol);
-        const double got = total->mean();
-        if (got < lo || got > hi) {
-            std::fprintf(stderr,
-                         "FAIL %s/total_cycles: %.4g outside "
-                         "[%.4g, %.4g] (baseline %.4g)\n",
-                         name.c_str(), got, lo, hi, want);
-            ++violations;
-        }
-    }
-    if (violations == 0)
-        std::printf("e2e gate: all campaigns within band of %s\n",
-                    path.c_str());
-    return violations;
-}
-
-int
-benchMain(bool list, bool smoke, bool scenario_given,
-          const std::string &selection, const std::string &baseline,
-          const std::string &checkpoint, bool resume,
-          std::size_t stop_after_shards)
-{
-    const auto specs = campaignSpecs(builtinScenarios(), scenario_given,
-                                     selection);
-    if (list) {
-        listCampaigns(specs);
-        return 0;
-    }
-    if (specs.empty()) {
-        std::fprintf(stderr,
-                     "bench_e2e: no campaigns matched '%s' "
-                     "(try --list)\n",
-                     selection.c_str());
-        return 1;
-    }
-    if (!checkpoint.empty() && specs.size() > 1) {
-        std::fprintf(stderr,
-                     "bench_e2e: --checkpoint drives exactly one "
-                     "campaign; narrow the run with --scenario= "
-                     "(%zu selected)\n",
-                     specs.size());
-        return 2;
-    }
-
-    benchPrintHeader(fullScale()
-                         ? "Full-scale key-recovery campaigns"
-                         : "End-to-end key-recovery campaigns");
-    CampaignSuite suite(fullScale() ? "fullscale" : "e2e");
-    suite.contextValue("rate_tolerance", kRateTolerance);
-    suite.contextValue("cycles_tolerance", kCyclesTolerance);
-    for (const ScenarioSpec *spec : specs) {
-        const std::size_t fleet =
-            smoke ? std::min<std::size_t>(spec->fleetSize, kSmokeFleet)
-                  : trialCount(spec->fleetSize);
-        CampaignRunOptions opts;
-        opts.fleet = fleet;
-        opts.masterSeed = baseSeed();
-        opts.checkpointPath = checkpoint;
-        opts.resume = resume;
-        opts.stopAfterShards = stop_after_shards;
-        KeyRecoveryCampaign campaign(*spec);
-        CampaignResult result = campaign.run(opts);
-        printCampaignRow(result);
-        if (result.interrupted) {
-            std::printf("  %-28s interrupted at trial %zu/%zu; "
-                        "checkpoint %s — resume with --resume\n",
-                        result.name.c_str(),
-                        result.aggregate.trials(), result.trials,
-                        checkpoint.c_str());
-            return 3;
-        }
-        suite.add(std::move(result));
-    }
-
-    // Gate against the baseline *before* writing the suite: when the
-    // output path and the baseline are the same file (e.g. running
-    // the gate from the repo root with no --json-out), writing first
-    // would clobber the baseline and gate the run against itself.
-    const bool gate_ok =
-        baseline.empty() || gateAgainstBaseline(suite, baseline) == 0;
-    const std::string out = suite.writeFile();
-    if (out.empty()) {
-        std::fprintf(stderr, "failed to write JSON output\n");
-        return 1;
-    }
-    std::printf("wrote %s\n", out.c_str());
-    return gate_ok ? 0 : 1;
-}
-
-} // namespace
-} // namespace llcf
+#include "suite.hh"
 
 int
 main(int argc, char **argv)
 {
-    bool list = false;
-    bool smoke = false;
-    bool scenario_given = false;
-    bool resume = false;
-    std::size_t stop_after_shards = 0;
-    std::string selection;
-    std::string baseline;
-    std::string checkpoint;
-    std::vector<std::string> unknown;
-    for (const std::string &arg : llcf::benchParseArgs(argc, argv)) {
-        if (arg == "--list") {
-            list = true;
-        } else if (arg == "--smoke") {
-            smoke = true;
-        } else if (arg.rfind("--scenario=", 0) == 0) {
-            scenario_given = true;
-            if (!selection.empty())
-                selection += ',';
-            selection += arg.substr(sizeof("--scenario=") - 1);
-        } else if (arg.rfind("--baseline=", 0) == 0) {
-            baseline = arg.substr(sizeof("--baseline=") - 1);
-        } else if (arg.rfind("--checkpoint=", 0) == 0) {
-            checkpoint = arg.substr(sizeof("--checkpoint=") - 1);
-        } else if (arg == "--resume") {
-            resume = true;
-        } else if (arg.rfind("--stop-after-shards=", 0) == 0) {
-            stop_after_shards = static_cast<std::size_t>(std::strtoull(
-                arg.c_str() + sizeof("--stop-after-shards=") - 1,
-                nullptr, 10));
-        } else {
-            unknown.push_back(arg);
-        }
-    }
-    if ((resume || stop_after_shards) && checkpoint.empty()) {
-        std::fprintf(stderr,
-                     "bench_e2e: --resume / --stop-after-shards "
-                     "require --checkpoint=<path>\n");
-        return 2;
-    }
-    if (!llcf::benchRejectExtraArgs(unknown)) {
-        std::fprintf(stderr,
-                     "bench_e2e flags: --list --smoke "
-                     "--scenario=<name[,name...]> "
-                     "--baseline=BENCH_e2e.json "
-                     "--checkpoint=<path> --resume "
-                     "--stop-after-shards=<n>\n");
-        return 2;
-    }
-    return llcf::benchMain(list, smoke, scenario_given, selection,
-                           baseline, checkpoint, resume,
-                           stop_after_shards);
+    return llcf::runSuite(llcf::suiteDomain(llcf::ScenarioSuite::E2e),
+                          argc, argv);
 }

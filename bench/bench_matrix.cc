@@ -6,141 +6,24 @@
  * and writes per-scenario metrics to BENCH_scenarios.json.
  *
  *   bench_matrix --list                 enumerate registered scenarios
- *   bench_matrix                        run the full matrix
- *   bench_matrix --scenario=build-*     run a named subset (globs ok)
+ *   bench_matrix                        run the cells it owns: the
+ *                                       single-victim build/scan/e2e
+ *                                       stages (scenarioSuite())
+ *   bench_matrix --scenario=build-*     run a named subset (globs ok;
+ *                                       any registered cell)
  *   bench_matrix --smoke                1 trial per scenario (CI gate)
  *
- * Shared flags (--seed/--trials/--threads/--json-out/--full-scale)
- * are handled by bench_common.  For a fixed seed the JSON output is
- * byte-identical at any worker-thread count — CI diffs 1-thread vs
- * 8-thread --smoke runs on every push.
+ * Selection and output are the shared suite driver's (suite.hh).
+ * For a fixed seed the JSON output is byte-identical at any
+ * worker-thread count — CI diffs 1-thread vs 8-thread --smoke runs on
+ * every push.
  */
 
-#include "bench_common.hh"
-
-#include "scenario/registry.hh"
-
-namespace llcf {
-namespace {
-
-void
-listScenarios(const ScenarioRegistry &reg)
-{
-    std::printf("%-32s %-11s %-18s %-8s %-5s %-15s %s\n", "name",
-                "stage", "machine", "repl", "algo", "noise",
-                "description");
-    for (const ScenarioSpec &s : reg.all()) {
-        char machine[32];
-        std::snprintf(machine, sizeof(machine), "%s/%usl",
-                      scenarioMachineName(s.machine), s.slices);
-        std::printf("%-32s %-11s %-18s %-8s %-5s %-15s %s\n",
-                    s.name.c_str(), scenarioStageName(s.stage), machine,
-                    replKindName(s.sharedRepl), pruneAlgoName(s.algo),
-                    s.noise.c_str(), s.description.c_str());
-    }
-}
-
-void
-printScenarioRow(const ExperimentResult &result)
-{
-    // Headline outcome: end-to-end correctness when available, else
-    // construction success.
-    static const SuccessRate kNoRate;
-    static const SampleStats kNoStats;
-    const SuccessRate *sr = result.outcome("target_correct");
-    if (!sr)
-        sr = result.outcome("success");
-    const SampleStats *times = result.metric("total_cycles");
-    if (!times)
-        times = result.metric("build_cycles");
-    printRow(result.name().c_str(), sr ? *sr : kNoRate,
-             times ? *times : kNoStats);
-}
-
-int
-benchMain(bool list, bool smoke, bool scenario_given,
-          const std::string &selection)
-{
-    const ScenarioRegistry &reg = builtinScenarios();
-    if (list) {
-        listScenarios(reg);
-        return 0;
-    }
-
-    std::vector<const ScenarioSpec *> specs;
-    if (!scenario_given) {
-        // The default matrix stops at the single-victim attack
-        // stages: victim-fleet campaigns are bench_e2e's domain,
-        // Step-0 calibration is bench_calib's, and the defense axis
-        // is bench_defense's (each for cost and for their own
-        // baseline gates).  The traffic axis (open-loop arrivals,
-        // victim families, co-tenant load) is bench_traffic's.  All
-        // stay addressable here via --scenario=campaign-* /
-        // --scenario=calib-* / --scenario=defense-* /
-        // --scenario=traffic-*.
-        for (const ScenarioSpec &s : reg.all()) {
-            if (s.stage != ScenarioStage::Campaign &&
-                s.stage != ScenarioStage::Calibrate &&
-                !s.defense.recordsMetrics() && !s.trafficDomain())
-                specs.push_back(&s);
-        }
-    } else if (!selection.empty()) {
-        specs = reg.select(selection);
-    }
-    if (specs.empty()) {
-        // A --scenario selection that names nothing (empty value,
-        // bare commas, ...) must fail loudly rather than write an
-        // empty suite that looks like a passing run.
-        std::fprintf(stderr,
-                     "bench_matrix: no scenarios matched '%s' "
-                     "(try --list)\n",
-                     selection.c_str());
-        return 1;
-    }
-
-    ExperimentSuite suite("scenarios");
-    benchPrintHeader("Scenario matrix");
-    for (const ScenarioSpec *spec : specs) {
-        const std::size_t trials =
-            smoke ? 1 : trialCount(spec->defaultTrials);
-        ExperimentResult result =
-            runScenario(*spec, trials, 0, baseSeed());
-        printScenarioRow(result);
-        suite.add(std::move(result));
-    }
-    return benchWriteSuite(suite);
-}
-
-} // namespace
-} // namespace llcf
+#include "suite.hh"
 
 int
 main(int argc, char **argv)
 {
-    bool list = false;
-    bool smoke = false;
-    bool scenario_given = false;
-    std::string selection;
-    std::vector<std::string> unknown;
-    for (const std::string &arg : llcf::benchParseArgs(argc, argv)) {
-        if (arg == "--list") {
-            list = true;
-        } else if (arg == "--smoke") {
-            smoke = true;
-        } else if (arg.rfind("--scenario=", 0) == 0) {
-            scenario_given = true;
-            if (!selection.empty())
-                selection += ',';
-            selection += arg.substr(sizeof("--scenario=") - 1);
-        } else {
-            unknown.push_back(arg);
-        }
-    }
-    if (!llcf::benchRejectExtraArgs(unknown)) {
-        std::fprintf(stderr,
-                     "bench_matrix flags: --list --smoke "
-                     "--scenario=<name[,name...]> (prefix globs ok)\n");
-        return 2;
-    }
-    return llcf::benchMain(list, smoke, scenario_given, selection);
+    return llcf::runSuite(llcf::suiteDomain(llcf::ScenarioSuite::Matrix),
+                          argc, argv);
 }

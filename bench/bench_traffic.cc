@@ -2,20 +2,16 @@
  * @file
  * The heavy-traffic matrix and its CI gate.
  *
- * Runs the registered traffic-* scenario cells (the traffic axis in
+ * Runs the traffic-* cells it owns (the traffic axis in
  * src/scenario/registry.cc: open-loop victim arrivals, bursty
  * co-tenant load, the AES T-table victim family, mid-campaign key
  * rotation and the adaptive scanner) and writes one
  * BENCH_traffic.json entry per cell: the stage's headline success
  * rate under load, the attack cost in simulated cycles, and the
  * traffic_* series (offered rate, arrivals served, queue delay,
- * co-tenant accesses, key epochs) that price the load itself.
- *
- * On top of the fixed cells the bench sweeps the rotation campaign
- * across scan cycle budgets — the keys-per-cycle-budget curve (see
- * README): one traffic-budget-* row per budget, each reporting how
- * many rotation epochs the fixed fleet recovers when Step 2 is given
- * that much virtual time.
+ * co-tenant accesses, key epochs) that price the load itself.  The
+ * traffic-budget-* cells clone the rotation campaign at three Step-2
+ * budgets — the keys-per-cycle-budget curve (see README).
  *
  *   bench_traffic --list                     enumerate traffic cells
  *   bench_traffic                            run every cell, full trials
@@ -37,454 +33,19 @@
  *    observe more than one key epoch, so per-epoch scoring is
  *    actually exercised.
  *
- * For a fixed seed the JSON is byte-identical at any worker-thread
- * count (each trial world is rebuilt from its positional stream; CI
- * diffs 1-thread vs 8-thread --smoke runs).  The checked-in baseline
- * at the repository root is regenerated with:
+ * The driver and the gate are shared (suite.hh); the bands and the
+ * invariants live in domains.cc.  For a fixed seed the JSON is
+ * byte-identical at any worker-thread count (CI diffs 1-thread vs
+ * 8-thread --smoke runs).  The checked-in baseline at the repository
+ * root is regenerated with:
  *   ./build/bench_traffic --smoke --json-out=BENCH_traffic.json
  */
 
-#include "bench_common.hh"
-
-#include <cstdio>
-
-#include "harness/json.hh"
-#include "scenario/registry.hh"
-#include "traffic/traffic.hh"
-#include "victim/victim.hh"
-
-namespace llcf {
-namespace {
-
-/** Absolute drift allowed on success rates by the gate: one trial of
- *  a 2-3 trial smoke cell may flip without failing CI. */
-constexpr double kRateTolerance = 0.51;
-
-/** Relative drift allowed on the attack-cycles mean. */
-constexpr double kCyclesTolerance = 0.5;
-
-/** The AES end-to-end cell and its nibble-recovery floor. */
-constexpr const char *kNibbleCell = "traffic-aes-tiny-e2e";
-constexpr double kNibbleFloor = 1.0;
-
-/** The saturated cell that must degrade explicitly, not crash. */
-constexpr const char *kDegradedCell = "traffic-sparse-tiny-scan";
-
-/** The rotation campaign that must span multiple key epochs. */
-constexpr const char *kRotateCell = "traffic-rotate-tiny-campaign-2";
-
-/** Step-2 budgets (seconds of virtual time) for the
- *  keys-per-cycle-budget sweep over the rotation campaign.  The
- *  campaign's scan costs ~15 ms on the tiny host, so the sweep
- *  brackets it: starved, tight, and slack. */
-constexpr double kBudgetSweepSec[] = {0.005, 0.02, 1.0};
-
-/** The stage's headline attack outcome. */
-const char *
-primaryOutcome(ScenarioStage stage)
-{
-    switch (stage) {
-      case ScenarioStage::EvsetBuild:
-        return "success";
-      case ScenarioStage::Scan:
-      case ScenarioStage::EndToEnd:
-        return "target_correct";
-      case ScenarioStage::Campaign:
-        return "key_recovered";
-      case ScenarioStage::Calibrate:
-        return "topology_match";
-    }
-    return "success";
-}
-
-/** The stage's attack-cost metric. */
-const char *
-primaryCycles(ScenarioStage stage)
-{
-    switch (stage) {
-      case ScenarioStage::EvsetBuild:
-        return "build_cycles";
-      case ScenarioStage::Scan:
-        return "scan_cycles";
-      case ScenarioStage::EndToEnd:
-      case ScenarioStage::Campaign:
-        return "total_cycles";
-      case ScenarioStage::Calibrate:
-        return "calib_cycles";
-    }
-    return "build_cycles";
-}
-
-std::vector<const ScenarioSpec *>
-trafficSpecs(const ScenarioRegistry &reg, bool scenario_given,
-             const std::string &selection)
-{
-    std::vector<const ScenarioSpec *> specs;
-    if (!scenario_given) {
-        for (const ScenarioSpec &s : reg.all()) {
-            if (s.trafficDomain())
-                specs.push_back(&s);
-        }
-        return specs;
-    }
-    if (selection.empty())
-        return specs;
-    for (const ScenarioSpec *s : reg.select(selection)) {
-        if (!s->trafficDomain()) {
-            std::fprintf(stderr,
-                         "bench_traffic: '%s' has no traffic axis "
-                         "(those cells run under bench_matrix, "
-                         "bench_e2e, bench_calib or bench_defense)\n",
-                         s->name.c_str());
-            std::exit(2);
-        }
-        specs.push_back(s);
-    }
-    return specs;
-}
-
-/** Short per-cell load label for --list. */
-std::string
-loadLabel(const ScenarioSpec &s)
-{
-    char buf[48];
-    if (s.victimArrival.active()) {
-        std::snprintf(buf, sizeof(buf), "%s %.0f/s",
-                      arrivalKindName(s.victimArrival.kind),
-                      s.victimArrival.ratePerSec);
-    } else {
-        std::snprintf(buf, sizeof(buf), "closed");
-    }
-    std::string label = buf;
-    if (s.coTenants > 0) {
-        std::snprintf(buf, sizeof(buf), " +%ux%.0f/s", s.coTenants,
-                      s.coTenantRps);
-        label += buf;
-    }
-    if (s.rotateKeys > 0) {
-        std::snprintf(buf, sizeof(buf), " rot%llu",
-                      static_cast<unsigned long long>(s.rotateKeys));
-        label += buf;
-    }
-    if (s.adaptiveScan)
-        label += " ucb";
-    return label;
-}
-
-void
-listCells(const std::vector<const ScenarioSpec *> &specs)
-{
-    std::printf("%-30s %-11s %-6s %-22s %s\n", "name", "stage",
-                "victim", "load", "description");
-    for (const ScenarioSpec *s : specs) {
-        std::printf("%-30s %-11s %-6s %-22s %s\n", s->name.c_str(),
-                    scenarioStageName(s->stage),
-                    victimFamilyName(s->victimFamily),
-                    loadLabel(*s).c_str(), s->description.c_str());
-    }
-}
-
-void
-printCellRow(const ScenarioSpec &spec, const ExperimentResult &r)
-{
-    const SuccessRate *sr = r.outcome(primaryOutcome(spec.stage));
-    const SampleStats *cycles = r.metric(primaryCycles(spec.stage));
-    const SampleStats *arrivals = r.metric("traffic_victim_arrivals");
-    const SampleStats *delay = r.metric("traffic_queue_delay_cycles");
-    const SampleStats *epochs = r.metric("traffic_epochs");
-    std::printf("  %-30s %-22s succ %5.1f%%  cost %10s  "
-                "arr %6.1f  qdelay %10s  epochs %4.1f\n",
-                r.name().c_str(), loadLabel(spec).c_str(),
-                sr ? sr->rate() * 100.0 : 0.0,
-                cycles && !cycles->empty()
-                    ? formatDuration(cycles->mean()).c_str()
-                    : "-",
-                arrivals && !arrivals->empty() ? arrivals->mean() : 0.0,
-                delay && !delay->empty()
-                    ? formatDuration(delay->mean()).c_str()
-                    : "-",
-                epochs && !epochs->empty() ? epochs->mean() : 0.0);
-}
-
-/**
- * The unconditional invariants: the AES extractor keeps recovering
- * nibbles, the saturated cell keeps failing *explicitly*, and the
- * rotation campaign keeps spanning epochs.  Returns violations.
- */
-unsigned
-gateInvariants(const ExperimentSuite &suite)
-{
-    unsigned violations = 0;
-    for (const ExperimentResult &r : suite.results()) {
-        if (r.name() == kNibbleCell) {
-            const SampleStats *nibbles =
-                r.metric("aes_nibbles_correct");
-            const double mean =
-                nibbles && !nibbles->empty() ? nibbles->mean() : 0.0;
-            if (mean < kNibbleFloor) {
-                std::fprintf(stderr,
-                             "FAIL %s: %.2f correct nibbles per "
-                             "trial < %.1f — the AES line-granular "
-                             "extractor no longer recovers key "
-                             "material\n",
-                             r.name().c_str(), mean, kNibbleFloor);
-                ++violations;
-            }
-        }
-        if (r.name() == kDegradedCell) {
-            const SuccessRate *found = r.outcome("target_found");
-            if (!found) {
-                std::fprintf(stderr,
-                             "FAIL %s: no target_found outcome — "
-                             "the starved cell must degrade to an "
-                             "explicit scored miss, not a missing "
-                             "series\n",
-                             r.name().c_str());
-                ++violations;
-            } else if (found->rate() > 0.5) {
-                std::fprintf(stderr,
-                             "FAIL %s: target_found rate %.3f > 0.50 "
-                             "— the sparse victim no longer starves "
-                             "the scan budget, so the degraded row "
-                             "demonstrates nothing\n",
-                             r.name().c_str(), found->rate());
-                ++violations;
-            }
-        }
-        if (r.name() == kRotateCell) {
-            const SampleStats *epochs = r.metric("traffic_epochs");
-            const double mean =
-                epochs && !epochs->empty() ? epochs->mean() : 0.0;
-            if (mean <= 1.0) {
-                std::fprintf(stderr,
-                             "FAIL %s: %.2f key epochs observed — "
-                             "rotation never advanced, per-epoch "
-                             "scoring is untested\n",
-                             r.name().c_str(), mean);
-                ++violations;
-            }
-        }
-    }
-    return violations;
-}
-
-/**
- * Gate the suite against a checked-in baseline.  Returns the number
- * of violations; a stale or unreadable baseline counts as one so the
- * gate cannot silently pass.
- */
-unsigned
-gateAgainstBaseline(const ExperimentSuite &suite,
-                    const std::vector<const ScenarioSpec *> &specs,
-                    const std::string &path)
-{
-    JsonValue doc;
-    if (!benchLoadBaseline(path, doc))
-        return 1;
-    const double rate_tol =
-        benchBaselineTolerance(doc, "rate_tolerance", kRateTolerance);
-    const double cyc_tol = benchBaselineTolerance(
-        doc, "cycles_tolerance", kCyclesTolerance);
-
-    unsigned violations = 0;
-    for (const ExperimentResult &r : suite.results()) {
-        const ScenarioSpec *spec = nullptr;
-        for (const ScenarioSpec *s : specs) {
-            if (s->name == r.name())
-                spec = s;
-        }
-        if (!spec)
-            continue;
-        const JsonValue *base = benchBaselineEntry(doc, r.name());
-        if (!base) {
-            std::fprintf(stderr,
-                         "FAIL %s: cell missing from baseline "
-                         "(regenerate %s)\n",
-                         r.name().c_str(), path.c_str());
-            ++violations;
-            continue;
-        }
-        const char *outcome = primaryOutcome(spec->stage);
-        const JsonValue *want = base->find("outcomes", outcome, "rate");
-        const SuccessRate *got = r.outcome(outcome);
-        const bool want_has = want && want->isNumber();
-        if (!want_has && !got) {
-            // A cell saturated enough to kill an earlier stage leaves
-            // the later stage's series unrecorded — in the run AND
-            // the baseline.  Both degrading identically is the
-            // expected band, not a gate failure.
-        } else if (!want_has || !got) {
-            std::fprintf(stderr,
-                         "FAIL %s: no comparable %s rate "
-                         "(regenerate %s)\n",
-                         r.name().c_str(), outcome, path.c_str());
-            ++violations;
-        } else {
-            const double w = want->asNumber();
-            if (got->rate() < w - rate_tol ||
-                got->rate() > w + rate_tol) {
-                std::fprintf(stderr,
-                             "FAIL %s/%s: %.3f outside "
-                             "[%.3f, %.3f]\n",
-                             r.name().c_str(), outcome, got->rate(),
-                             w - rate_tol, w + rate_tol);
-                ++violations;
-            }
-        }
-        const char *cost = primaryCycles(spec->stage);
-        const JsonValue *mean = base->find("metrics", cost, "mean");
-        const SampleStats *cycles = r.metric(cost);
-        const bool mean_has = mean && mean->isNumber();
-        const bool cycles_has = cycles && !cycles->empty();
-        if (!mean_has && !cycles_has) {
-            // Same as above: stage never reached on either side.
-        } else if (!mean_has || !cycles_has) {
-            std::fprintf(stderr,
-                         "FAIL %s: no comparable %s "
-                         "(regenerate %s)\n",
-                         r.name().c_str(), cost, path.c_str());
-            ++violations;
-        } else {
-            const double w = mean->asNumber();
-            const double lo = w * (1.0 - cyc_tol);
-            const double hi = w * (1.0 + cyc_tol);
-            if (cycles->mean() < lo || cycles->mean() > hi) {
-                std::fprintf(stderr,
-                             "FAIL %s/%s: %.4g outside "
-                             "[%.4g, %.4g] (baseline %.4g)\n",
-                             r.name().c_str(), cost, cycles->mean(),
-                             lo, hi, w);
-                ++violations;
-            }
-        }
-    }
-    if (violations == 0)
-        std::printf("traffic gate: all cells within band of %s\n",
-                    path.c_str());
-    return violations;
-}
-
-/**
- * The keys-per-cycle-budget sweep: clone the rotation campaign at
- * each Step-2 budget and report the epoch keys the fixed fleet
- * recovers under it.  The clones are real suite rows (and gate
- * against the baseline like any cell), named traffic-budget-<ms>.
- */
-std::vector<ScenarioSpec>
-budgetSweepSpecs(const ScenarioRegistry &reg)
-{
-    std::vector<ScenarioSpec> sweep;
-    const auto base = reg.select(kRotateCell);
-    if (base.size() != 1)
-        return sweep;
-    for (double sec : kBudgetSweepSec) {
-        ScenarioSpec s = *base.front();
-        char name[48];
-        std::snprintf(name, sizeof(name), "traffic-budget-%.0fms",
-                      sec * 1e3);
-        s.name = name;
-        char desc[96];
-        std::snprintf(desc, sizeof(desc),
-                      "Rotation campaign at a %.0f ms Step-2 budget "
-                      "(keys-per-cycle-budget curve)",
-                      sec * 1e3);
-        s.description = desc;
-        s.scanTimeoutSec = sec;
-        sweep.push_back(std::move(s));
-    }
-    return sweep;
-}
-
-int
-benchMain(bool list, bool smoke, bool scenario_given,
-          const std::string &selection, const std::string &baseline)
-{
-    const ScenarioRegistry &reg = builtinScenarios();
-    auto specs = trafficSpecs(reg, scenario_given, selection);
-    // The budget sweep runs only on full, unselected runs — a
-    // --scenario subset means the caller wants those cells alone.
-    std::vector<ScenarioSpec> sweep;
-    if (!scenario_given)
-        sweep = budgetSweepSpecs(reg);
-    for (const ScenarioSpec &s : sweep)
-        specs.push_back(&s);
-
-    if (list) {
-        listCells(specs);
-        return 0;
-    }
-    if (specs.empty()) {
-        std::fprintf(stderr,
-                     "bench_traffic: no traffic scenarios matched "
-                     "'%s' (try --list)\n",
-                     selection.c_str());
-        return 1;
-    }
-
-    benchPrintHeader("Heavy-traffic matrix");
-    ExperimentSuite suite("traffic");
-    suite.contextValue("rate_tolerance", kRateTolerance);
-    suite.contextValue("cycles_tolerance", kCyclesTolerance);
-    for (const ScenarioSpec *spec : specs) {
-        const std::size_t trials =
-            smoke ? std::min<std::size_t>(spec->defaultTrials, 2)
-                  : trialCount(spec->defaultTrials);
-        ExperimentResult result =
-            runScenario(*spec, trials, 0, baseSeed());
-        printCellRow(*spec, result);
-        suite.add(std::move(result));
-    }
-
-    unsigned violations = gateInvariants(suite);
-    // Gate before writing: when the output path and the baseline are
-    // the same file, writing first would clobber the baseline and
-    // gate the run against itself.
-    if (!baseline.empty())
-        violations += gateAgainstBaseline(suite, specs, baseline);
-    const std::string out = suite.writeFile();
-    if (out.empty()) {
-        std::fprintf(stderr, "failed to write JSON output\n");
-        return 1;
-    }
-    std::printf("wrote %s\n", out.c_str());
-    return violations == 0 ? 0 : 1;
-}
-
-} // namespace
-} // namespace llcf
+#include "suite.hh"
 
 int
 main(int argc, char **argv)
 {
-    bool list = false;
-    bool smoke = false;
-    bool scenario_given = false;
-    std::string selection;
-    std::string baseline;
-    std::vector<std::string> unknown;
-    for (const std::string &arg : llcf::benchParseArgs(argc, argv)) {
-        if (arg == "--list") {
-            list = true;
-        } else if (arg == "--smoke") {
-            smoke = true;
-        } else if (arg.rfind("--scenario=", 0) == 0) {
-            scenario_given = true;
-            if (!selection.empty())
-                selection += ',';
-            selection += arg.substr(sizeof("--scenario=") - 1);
-        } else if (arg.rfind("--baseline=", 0) == 0) {
-            baseline = arg.substr(sizeof("--baseline=") - 1);
-        } else {
-            unknown.push_back(arg);
-        }
-    }
-    if (!llcf::benchRejectExtraArgs(unknown)) {
-        std::fprintf(stderr,
-                     "bench_traffic flags: --list --smoke "
-                     "--scenario=<name[,name...]> "
-                     "--baseline=BENCH_traffic.json\n");
-        return 2;
-    }
-    return llcf::benchMain(list, smoke, scenario_given, selection,
-                           baseline);
+    return llcf::runSuite(
+        llcf::suiteDomain(llcf::ScenarioSuite::Traffic), argc, argv);
 }

@@ -14,15 +14,12 @@
 #               bad-selection must-fail
 #   hotpath     bench_hotpath smoke vs BENCH_hotpath.json
 #   scalar-flip LLCF_SCALAR_TAGS=1 runs match the vectorized bytes
-#   e2e         bench_e2e smoke vs BENCH_e2e.json + 1v8 identity
 #   resume      campaign interrupt/resume byte identity (fork path)
 #   fullscale   reduced fleet vs BENCH_fullscale.json bands
-#   calib       bench_calib smoke vs BENCH_calib.json + 1v8 identity
-#   defense     bench_defense smoke vs BENCH_defense.json + 1v8
-#               identity + the kill-cell hard gate
-#   traffic     bench_traffic smoke vs BENCH_traffic.json + 1v8
-#               identity + the AES-nibble / starved-cell /
-#               rotation-epoch hard gates
+#   e2e calib defense traffic
+#               one suite each (gate_suite): smoke vs BENCH_<suite>.json
+#               (bands + the suite's invariants), 1v8 identity,
+#               unknown-cell must-fail
 #
 # --twin mode runs the cross-build byte-identity check instead: two
 # build trees of the same commit (scalar and SIMD tag-scan kernels)
@@ -127,16 +124,6 @@ gate_scalar_flip() {
     cmp BENCH_scenarios.json scen_scalar.json
 }
 
-gate_e2e() {
-    ./bench_e2e --list
-    # Baseline tolerance gate on the 1-thread run ...
-    ./bench_e2e --smoke --threads=1 --json-out=BENCH_e2e.json \
-        --baseline="$repo_root/BENCH_e2e.json"
-    # ... and the fleet sharding must not change a byte.
-    ./bench_e2e --smoke --threads=8 --json-out=e2e_t8.json > /dev/null
-    cmp BENCH_e2e.json e2e_t8.json
-}
-
 gate_resume() {
     # A 66-victim forked fleet spans two shards.  Interrupt after the
     # first shard at 8 threads (exit code 3 by contract) ...
@@ -154,6 +141,12 @@ gate_resume() {
     ./bench_e2e --scenario=campaign-fork-tiny-silent-96 \
         --trials=66 --threads=8 --json-out=e2e_whole.json > /dev/null
     cmp e2e_resumed.json e2e_whole.json
+    # A malformed shard count is a usage error, never a full run.
+    rc=0
+    ./bench_e2e --scenario=campaign-fork-tiny-silent-96 \
+        --trials=66 --checkpoint=cp_bad.json \
+        --stop-after-shards=abc || rc=$?
+    [ "$rc" -eq 2 ] || fail "bad shard count exit code $rc, expected 2"
 }
 
 gate_fullscale() {
@@ -166,40 +159,19 @@ gate_fullscale() {
         --baseline="$repo_root/BENCH_fullscale.json"
 }
 
-gate_calib() {
-    ./bench_calib --list
-    # Baseline accuracy/cost gate on the 1-thread run ...
-    ./bench_calib --smoke --threads=1 --json-out=BENCH_calib.json \
-        --baseline="$repo_root/BENCH_calib.json"
-    # ... and trial sharding must not change a byte.
-    ./bench_calib --smoke --threads=8 --json-out=calib_t8.json \
-        > /dev/null
-    cmp BENCH_calib.json calib_t8.json
-}
-
-gate_defense() {
-    ./bench_defense --list
-    # Baseline gate (success rates, attack cost, kill-cell ceiling,
-    # undefended-baseline floor) on the 1-thread run ...
-    ./bench_defense --smoke --threads=1 --json-out=BENCH_defense.json \
-        --baseline="$repo_root/BENCH_defense.json"
-    # ... and trial sharding must not change a byte.
-    ./bench_defense --smoke --threads=8 --json-out=defense_t8.json \
-        > /dev/null
-    cmp BENCH_defense.json defense_t8.json
-}
-
-gate_traffic() {
-    ./bench_traffic --list
-    # Baseline gate (success rates, attack cost, the AES nibble
-    # floor, the starved-cell explicit miss, the rotation epoch
-    # count) on the 1-thread run ...
-    ./bench_traffic --smoke --threads=1 --json-out=BENCH_traffic.json \
-        --baseline="$repo_root/BENCH_traffic.json"
-    # ... and trial sharding must not change a byte.
-    ./bench_traffic --smoke --threads=8 --json-out=traffic_t8.json \
-        > /dev/null
-    cmp BENCH_traffic.json traffic_t8.json
+# The registry suite benches share one driver, so one gate shape: the
+# suite's bands and invariants against its committed baseline on the
+# 1-thread run, byte identity at 8 threads, and a must-fail selection.
+gate_suite() {
+    local bench=bench_$1
+    "./$bench" --list
+    "./$bench" --smoke --threads=1 --json-out="BENCH_$1.json" \
+        --baseline="$repo_root/BENCH_$1.json"
+    "./$bench" --smoke --threads=8 --json-out="$1_t8.json" > /dev/null
+    cmp "BENCH_$1.json" "$1_t8.json"
+    if "./$bench" --scenario=definitely-missing; then
+        fail "$bench: unknown scenario unexpectedly succeeded"
+    fi
 }
 
 for gate in "${gates[@]}"; do
@@ -209,12 +181,9 @@ for gate in "${gates[@]}"; do
       matrix) gate_matrix ;;
       hotpath) gate_hotpath ;;
       scalar-flip) gate_scalar_flip ;;
-      e2e) gate_e2e ;;
       resume) gate_resume ;;
       fullscale) gate_fullscale ;;
-      calib) gate_calib ;;
-      defense) gate_defense ;;
-      traffic) gate_traffic ;;
+      e2e|calib|defense|traffic) gate_suite "$gate" ;;
       *) fail "unknown gate '$gate'" ;;
     esac
 done

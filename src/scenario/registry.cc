@@ -1,5 +1,6 @@
 #include "registry.hh"
 
+#include <string>
 #include <utility>
 
 #include "common/log.hh"
@@ -742,6 +743,25 @@ makeBuiltins()
         s.rotateKeys = 4;
         s.tracesPerVictim = 10; // spans three key epochs per victim
         reg.add(s);
+
+        // The keys-per-cycle-budget curve (README): the same campaign
+        // at Step-2 budgets bracketing its ~15 ms scan cost on the
+        // tiny host — starved, tight, and slack.
+        const struct
+        {
+            const char *ms;
+            double sec;
+        } budgets[] = {{"5", 0.005}, {"20", 0.02}, {"1000", 1.0}};
+        for (const auto &b : budgets) {
+            ScenarioSpec sweep = s;
+            sweep.name = std::string("traffic-budget-") + b.ms + "ms";
+            sweep.description = std::string("Rotation campaign at a ") +
+                                b.ms +
+                                " ms Step-2 budget "
+                                "(keys-per-cycle-budget curve)";
+            sweep.scanTimeoutSec = b.sec;
+            reg.add(std::move(sweep));
+        }
     }
 
     return reg;
@@ -807,6 +827,38 @@ ScenarioRegistry::select(std::string_view patterns) const
             out.push_back(&specs_[i]);
     }
     return out;
+}
+
+std::vector<const ScenarioSpec *>
+ScenarioRegistry::owned(ScenarioSuite suite) const
+{
+    std::vector<const ScenarioSpec *> out;
+    for (const ScenarioSpec &s : specs_) {
+        if (scenarioSuite(s) == suite)
+            out.push_back(&s);
+    }
+    return out;
+}
+
+ScenarioSuite
+scenarioSuite(const ScenarioSpec &spec)
+{
+    if (spec.defense.recordsMetrics())
+        return ScenarioSuite::Defense;
+    if (spec.trafficDomain())
+        return ScenarioSuite::Traffic;
+    switch (spec.stage) {
+      case ScenarioStage::Campaign:
+        return spec.fullScaleOnly ? ScenarioSuite::FullScale
+                                  : ScenarioSuite::E2e;
+      case ScenarioStage::Calibrate:
+        return ScenarioSuite::Calib;
+      case ScenarioStage::EvsetBuild:
+      case ScenarioStage::Scan:
+      case ScenarioStage::EndToEnd:
+        break;
+    }
+    return ScenarioSuite::Matrix;
 }
 
 const ScenarioRegistry &

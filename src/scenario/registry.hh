@@ -18,8 +18,33 @@
 namespace llcf {
 
 /**
+ * The bench suite that runs a cell by default.  Every cell has exactly
+ * one owner, decided by scenarioSuite() and nowhere else; a suite's
+ * default run is the cells it owns (ScenarioRegistry::owned()), and
+ * each committed BENCH_*.json baseline names exactly those cells.
+ */
+enum class ScenarioSuite
+{
+    Matrix,    //!< bench_matrix: single-victim build/scan/e2e cells
+    E2e,       //!< bench_e2e: victim-fleet campaigns
+    FullScale, //!< bench_e2e --full-scale: the fullScaleOnly fleets
+    Calib,     //!< bench_calib: Step-0 calibration cells
+    Defense,   //!< bench_defense: cells deploying the defense axis
+    Traffic,   //!< bench_traffic: cells setting the traffic axis
+};
+
+/**
+ * The suite owning @p spec.  The axes take precedence over the stage:
+ * a defended cell is bench_defense's and a traffic cell
+ * bench_traffic's whatever stage it drives; otherwise campaigns go to
+ * bench_e2e (its full-scale tier for fullScaleOnly fleets),
+ * calibrations to bench_calib and everything else to bench_matrix.
+ */
+ScenarioSuite scenarioSuite(const ScenarioSpec &spec);
+
+/**
  * An ordered, name-unique collection of scenario specs.  Insertion
- * order is preserved — it determines bench_matrix's execution and
+ * order is preserved — it determines every suite's execution and
  * JSON output order.
  */
 class ScenarioRegistry
@@ -42,6 +67,9 @@ class ScenarioRegistry
      */
     std::vector<const ScenarioSpec *> select(std::string_view patterns)
         const;
+
+    /** The cells @p suite owns (its default run), in registry order. */
+    std::vector<const ScenarioSpec *> owned(ScenarioSuite suite) const;
 
   private:
     std::vector<ScenarioSpec> specs_;

@@ -336,7 +336,6 @@ ScenarioSpec::calibrationConfig() const
 {
     CalibrationConfig c;
     c.budgetMs = calibBudgetMs;
-    c.targets = calibTargets;
     c.samplePages = calibSamplePages;
     // Sanity-cap measured associativities by the spec's own prior,
     // with 2x slack: assumedMaxWays sizes the pool and may sit below
@@ -354,7 +353,6 @@ ScenarioRig::ScenarioRig(const ScenarioSpec &spec, std::uint64_t seed)
     AttackerConfig acfg;
     acfg.seed = actorSeed(seed, kAttackerActor);
     acfg.evsetBudget = msToCycles(spec.evsetBudgetMs);
-    acfg.candidateFactor = spec.candidateFactor;
     acfg.blindTopology = spec.blind();
     session = std::make_unique<AttackSession>(machine, acfg);
     // A blind attacker cannot size its pool from the machine's true
@@ -364,9 +362,9 @@ ScenarioRig::ScenarioRig(const ScenarioSpec &spec, std::uint64_t seed)
         spec.blind()
             ? CandidatePool::requiredPagesBlind(
                   spec.assumedMaxUncertainty, spec.assumedMaxWays,
-                  spec.candidateFactor)
+                  acfg.candidateFactor)
             : CandidatePool::requiredPages(machine,
-                                           spec.candidateFactor));
+                                           acfg.candidateFactor));
     victimSeed_ = actorSeed(seed, kVictimActor);
 }
 

@@ -78,7 +78,6 @@ struct ScenarioSpec
 
     // --------------------------------------------- attacker knobs
     double evsetBudgetMs = 100.0; //!< per-set construction budget
-    double candidateFactor = 3.0; //!< pool size factor (N = f*U*W)
 
     // --------------------------------------------- stage-specific
     unsigned tracesPerVictim = 2;    //!< EndToEnd: signings monitored
@@ -120,8 +119,9 @@ struct ScenarioSpec
      */
     bool forkVictims = false;
 
-    /** Exclude from default bench selections; run only under
-     *  --full-scale (or by explicit --scenario= name). */
+    /** The paper-scale tier: a campaign owned by bench_e2e
+     *  --full-scale instead of its default run (scenarioSuite()),
+     *  still runnable by explicit --scenario= name. */
     bool fullScaleOnly = false;
 
     /** A victim's key counts as recovered iff the correct SF set was
@@ -155,10 +155,9 @@ struct ScenarioSpec
     /** Scanner uses UCB bandit budget allocation (Step 2). */
     bool adaptiveScan = false;
 
-    /** True iff any traffic-axis knob is set; such cells run under
-     *  bench_traffic and are excluded from the bench_matrix /
-     *  bench_e2e default selections so committed baselines keep
-     *  their bytes. */
+    /** True iff any traffic-axis knob is set; such cells belong to
+     *  bench_traffic (scenarioSuite()), so the other suites'
+     *  committed baselines keep their bytes. */
     bool
     trafficDomain() const
     {
@@ -184,7 +183,6 @@ struct ScenarioSpec
     bool blindTopology = false;
 
     double calibBudgetMs = 400.0; //!< Step-0 virtual-time budget
-    unsigned calibTargets = 2;    //!< independent calibration targets
     unsigned calibSamplePages = 160; //!< U-estimator scan window
 
     /** Blind pool-sizing priors (see requiredPagesBlind): upper
