@@ -8,7 +8,8 @@ namespace llcf {
 
 std::vector<Addr>
 groundTruthEvictionSet(const Machine &machine, const CandidatePool &pool,
-                       Addr target, unsigned ways, unsigned skip)
+                       Addr target, unsigned ways, unsigned skip,
+                       bool *short_set)
 {
     const unsigned target_set = machine.sharedSetOf(target);
     const unsigned line_index = pageLineIndex(target);
@@ -26,7 +27,9 @@ groundTruthEvictionSet(const Machine &machine, const CandidatePool &pool,
             out.push_back(a);
         }
     }
-    if (out.size() < ways)
+    if (short_set)
+        *short_set = out.size() < ways;
+    else if (out.size() < ways)
         fatal("pool too small for a ground-truth eviction set "
               "(found %zu of %u)", out.size(), ways);
     return out;

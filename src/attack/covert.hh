@@ -37,11 +37,16 @@ struct CovertOutcome
  * @p target using ground truth, bypassing organic construction.
  * Used where the paper evaluates monitors in isolation (the eviction
  * set's existence is a precondition, not the subject).
+ *
+ * If the pool holds fewer than @p ways such addresses (after
+ * skipping @p skip), the call is fatal unless @p short_set is
+ * non-null; then it sets *short_set and returns the short set.
  */
 std::vector<Addr> groundTruthEvictionSet(const Machine &machine,
                                          const CandidatePool &pool,
                                          Addr target, unsigned ways,
-                                         unsigned skip = 0);
+                                         unsigned skip = 0,
+                                         bool *short_set = nullptr);
 
 /**
  * Run one covert-channel experiment.

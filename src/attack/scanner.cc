@@ -147,6 +147,9 @@ ScannerTrainer::collect(const TraceClassifier &featurizer,
                 i / 4 % victim_.decoyPas().size()];
             evset = groundTruthEvictionSet(m, pool_, decoy, w_sf);
         } else {
+            // Redraw on a set congruent with the target, or on one
+            // with too few other pool lines for a full set (a small
+            // pool has such sets).
             for (;;) {
                 const Addr ta = pool_.at(
                     session_.rng().nextBelow(pool_.pages()),
@@ -154,8 +157,11 @@ ScannerTrainer::collect(const TraceClassifier &featurizer,
                 if (m.sharedSetOf(ta) ==
                     m.sharedSetOf(victim_.targetLinePa()))
                     continue;
-                evset = groundTruthEvictionSet(m, pool_, ta, w_sf, 1);
-                break;
+                bool short_set = false;
+                evset = groundTruthEvictionSet(m, pool_, ta, w_sf, 1,
+                                               &short_set);
+                if (!short_set)
+                    break;
             }
         }
         collect_one(evset, -1);

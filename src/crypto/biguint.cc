@@ -1,3 +1,13 @@
+/**
+ * @file
+ * BigUint arithmetic on little-endian 64-bit limbs: schoolbook
+ * addition, subtraction and multiplication; binary (shift-subtract)
+ * long division that starts with the numerator's top
+ * bitLength(den) - 1 bits already in the remainder; and modular
+ * inversion by the extended Euclidean algorithm with explicit
+ * coefficient signs.
+ */
+
 #include "biguint.hh"
 
 #include <algorithm>
@@ -264,11 +274,15 @@ BigUint::divmod(const BigUint &num, const BigUint &den)
     if (num < den)
         return {BigUint(), num};
 
-    // Long division one bit at a time; adequate for ECDSA's usage.
-    BigUint quotient, remainder;
+    // Long division one bit at a time. The numerator's top
+    // bitLength(den) - 1 bits are below den, so they start the
+    // remainder directly and contribute only zero quotient bits.
     const unsigned bits = num.bitLength();
+    const unsigned aligned = bits - (den.bitLength() - 1);
+    BigUint quotient;
+    BigUint remainder = num >> aligned;
     quotient.limbs_.assign((bits + 63) / 64, 0);
-    for (unsigned i = bits; i-- > 0;) {
+    for (unsigned i = aligned; i-- > 0;) {
         remainder = remainder << 1;
         if (num.bit(i)) {
             if (remainder.limbs_.empty())

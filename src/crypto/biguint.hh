@@ -5,7 +5,9 @@
  *
  * Little-endian 64-bit limbs, always trimmed of leading zero limbs.
  * Only the operations ECDSA needs are provided; they favour clarity
- * over speed (signing performs a handful of them).
+ * over speed, except that division skips the numerator prefix that
+ * is already below the divisor (the Euclid steps of invMod divide
+ * numbers of nearly equal length).
  */
 
 #ifndef LLCF_CRYPTO_BIGUINT_HH

@@ -92,19 +92,6 @@ Sect571r1::dbl(const Ec2mPoint &p) const
     return Ec2mPoint::make(x3, y3);
 }
 
-Ec2mPoint
-Sect571r1::scalarMul(const BigUint &k, const Ec2mPoint &p) const
-{
-    Ec2mPoint acc; // infinity
-    const unsigned bits = k.bitLength();
-    for (unsigned i = bits; i-- > 0;) {
-        acc = dbl(acc);
-        if (k.bit(i))
-            acc = add(acc, p);
-    }
-    return acc;
-}
-
 void
 Sect571r1::mAdd(Gf571 &x1, Gf571 &z1, const Gf571 &x2, const Gf571 &z2,
                 const Gf571 &x) const
@@ -127,12 +114,58 @@ Sect571r1::mDouble(Gf571 &x, Gf571 &z) const
     x = x2.square() + b_ * z2.square();
 }
 
+namespace {
+
+/** López–Dahab projective x-only ladder state. */
+struct LadderState
+{
+    Gf571 x1, z1; //!< m P
+    Gf571 x2, z2; //!< (m + 1) P
+};
+
+/**
+ * The Montgomery ladder loop shared by ladderMulX and scalarMul
+ * (OpenSSL 1.0.1e ec_GF2m_montgomery_point_multiply): one MAdd and
+ * one MDouble per scalar bit below the leading one. On return m = k.
+ * Appends each processed bit to @p bits when it is non-null.
+ * @pre !k.isZero(), !px.isZero()
+ */
+LadderState
+runLadder(const Sect571r1 &curve, const BigUint &k, const Gf571 &px,
+          std::vector<std::uint8_t> *bits)
+{
+    // (x1, z1) = P, (x2, z2) = 2P.
+    LadderState st;
+    st.x1 = px;
+    st.z1 = Gf571(1);
+    st.z2 = px.square();
+    st.x2 = st.z2.square() + curve.b();
+
+    const unsigned nbits = k.bitLength();
+    if (bits)
+        bits->reserve(nbits - 1);
+    for (unsigned i = nbits - 1; i-- > 0;) {
+        const bool bit = k.bit(i);
+        if (bits)
+            bits->push_back(bit ? 1 : 0);
+        if (bit) {
+            curve.mAdd(st.x1, st.z1, st.x2, st.z2, px);
+            curve.mDouble(st.x2, st.z2);
+        } else {
+            curve.mAdd(st.x2, st.z2, st.x1, st.z1, px);
+            curve.mDouble(st.x1, st.z1);
+        }
+    }
+    return st;
+}
+
+} // namespace
+
 Sect571r1::LadderResult
 Sect571r1::ladderMulX(const BigUint &k, const Gf571 &px) const
 {
     LadderResult res;
-    const unsigned bits = k.bitLength();
-    if (bits == 0)
+    if (k.isZero())
         fatal("Montgomery ladder needs a non-zero scalar");
     if (px.isZero()) {
         // x = 0 is the 2-torsion point; k * P is handled trivially.
@@ -141,32 +174,45 @@ Sect571r1::ladderMulX(const BigUint &k, const Gf571 &px) const
         return res;
     }
 
-    // (x1, z1) = P, (x2, z2) = 2P.
-    Gf571 x1 = px;
-    Gf571 z1(1);
-    Gf571 z2 = px.square();
-    Gf571 x2 = z2.square() + b_;
-
-    res.bits.reserve(bits > 0 ? bits - 1 : 0);
-    for (unsigned i = bits - 1; i-- > 0;) {
-        const bool bit = k.bit(i);
-        res.bits.push_back(bit ? 1 : 0);
-        if (bit) {
-            mAdd(x1, z1, x2, z2, px);
-            mDouble(x2, z2);
-        } else {
-            mAdd(x2, z2, x1, z1, px);
-            mDouble(x1, z1);
-        }
-    }
-
-    if (z1.isZero()) {
+    const LadderState st = runLadder(*this, k, px, &res.bits);
+    if (st.z1.isZero()) {
         res.infinity = true;
         return res;
     }
     res.infinity = false;
-    res.x = x1 * z1.inverse();
+    res.x = st.x1 * st.z1.inverse();
     return res;
+}
+
+Ec2mPoint
+Sect571r1::scalarMul(const BigUint &k, const Ec2mPoint &p) const
+{
+    if (k.isZero() || p.infinity)
+        return Ec2mPoint{};
+    if (p.x.isZero()) {
+        // The 2-torsion point (0, sqrt(b)): P + P = infinity.
+        return k.isEven() ? Ec2mPoint{} : p;
+    }
+
+    const LadderState st = runLadder(*this, k, p.x, nullptr);
+    if (st.z1.isZero())
+        return Ec2mPoint{}; // k P = infinity
+    if (st.z2.isZero())
+        return negate(p); // (k + 1) P = infinity, so k P = -P
+
+    // López–Dahab y-recovery (OpenSSL gf2m_Mxy), one inversion:
+    //   x_k = x1 / z1
+    //   y_k = (x + x_k) [(x1 + x z1)(x2 + x z2) + (x^2 + y) z1 z2]
+    //         / (x z1 z2) + y
+    const Gf571 &x = p.x;
+    const Gf571 &y = p.y;
+    const Gf571 z1z2 = st.z1 * st.z2;
+    const Gf571 num = (st.x1 + x * st.z1) * (st.x2 + x * st.z2) +
+                      (x.square() + y) * z1z2;
+    const Gf571 inv = (x * z1z2).inverse();
+    const Gf571 xk = st.x1 * st.z2 * x * inv;
+    const Gf571 yk = (xk + x) * num * inv + y;
+    return Ec2mPoint::make(xk, yk);
 }
 
 } // namespace llcf

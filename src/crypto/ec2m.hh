@@ -57,7 +57,14 @@ class Sect571r1
     /** Affine point doubling. */
     Ec2mPoint dbl(const Ec2mPoint &p) const;
 
-    /** Double-and-add scalar multiplication (verification path). */
+    /**
+     * Full-point scalar multiplication k * P (key generation and
+     * verification): the same x-only Montgomery ladder as
+     * ladderMulX, finished by López–Dahab y-recovery (OpenSSL's
+     * gf2m_Mxy), so one field inversion per call. Any k, including
+     * 0 and multiples of the order; P may be infinity or the
+     * 2-torsion point x = 0.
+     */
     Ec2mPoint scalarMul(const BigUint &k, const Ec2mPoint &p) const;
 
     /** Result of the x-only Montgomery ladder. */

@@ -64,7 +64,7 @@ class Ecdsa
     /** Sign without the ground-truth record. */
     EcdsaSignature sign(const Sha256Digest &digest, const BigUint &d);
 
-    /** Standard ECDSA verification (affine double-and-add). */
+    /** Standard ECDSA verification (two scalarMul, one affine add). */
     bool verify(const Sha256Digest &digest, const EcdsaSignature &sig,
                 const Ec2mPoint &q) const;
 

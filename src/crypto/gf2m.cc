@@ -1,3 +1,16 @@
+/**
+ * @file
+ * GF(2^571) arithmetic on nine 64-bit words, portable C++ only:
+ *
+ * - multiplication: left-to-right comb with a 4-bit window
+ *   (Hankerson, Menezes, Vanstone, "Guide to Elliptic Curve
+ *   Cryptography", Algorithm 2.36) followed by word-wise reduction
+ *   modulo the pentanomial f(x);
+ * - squaring: bit spreading through a 256-entry byte table, then
+ *   the same reduction;
+ * - inversion: the polynomial extended Euclidean algorithm.
+ */
+
 #include "gf2m.hh"
 
 #include "common/log.hh"
@@ -8,36 +21,6 @@ namespace {
 
 constexpr unsigned kWords = Gf571::kWords;
 constexpr unsigned kBits = Gf571::kBits;
-
-/** Carry-less 64x64 -> 128 multiplication via a 4-bit window. */
-inline void
-clmul64(std::uint64_t a, std::uint64_t b, std::uint64_t &hi,
-        std::uint64_t &lo)
-{
-    std::uint64_t tab_lo[16], tab_hi[16];
-    tab_lo[0] = 0;
-    tab_hi[0] = 0;
-    for (unsigned n = 1; n < 16; ++n) {
-        std::uint64_t l = 0, h = 0;
-        for (unsigned j = 0; j < 4; ++j) {
-            if (n & (1u << j)) {
-                l ^= a << j;
-                h ^= j ? a >> (64 - j) : 0;
-            }
-        }
-        tab_lo[n] = l;
-        tab_hi[n] = h;
-    }
-    hi = 0;
-    lo = 0;
-    for (int nib = 15; nib >= 0; --nib) {
-        hi = (hi << 4) | (lo >> 60);
-        lo <<= 4;
-        const unsigned idx = (b >> (4 * nib)) & 0xf;
-        lo ^= tab_lo[idx];
-        hi ^= tab_hi[idx];
-    }
-}
 
 /** XOR @p word shifted to absolute bit position @p bitpos into p. */
 inline void
@@ -76,14 +59,27 @@ reduce(std::uint64_t p[2 * kWords])
     }
 }
 
-/** Bit-spreading table for squaring: byte -> 16-bit interleaved. */
-std::uint16_t
-spreadByte(std::uint8_t b)
+/** Squaring table: byte b -> b's bits spread to the even positions. */
+constexpr std::array<std::uint16_t, 256> kSpread = [] {
+    std::array<std::uint16_t, 256> t{};
+    for (unsigned b = 0; b < 256; ++b) {
+        for (unsigned i = 0; i < 8; ++i) {
+            if (b & (1u << i))
+                t[b] |= static_cast<std::uint16_t>(1u << (2 * i));
+        }
+    }
+    return t;
+}();
+
+/** Spread the four bytes of @p w starting at byte @p first. */
+inline std::uint64_t
+spreadHalf(std::uint64_t w, unsigned first)
 {
-    std::uint16_t out = 0;
-    for (unsigned i = 0; i < 8; ++i) {
-        if (b & (1u << i))
-            out |= static_cast<std::uint16_t>(1u << (2 * i));
+    std::uint64_t out = 0;
+    for (unsigned byte = 0; byte < 4; ++byte) {
+        out |= static_cast<std::uint64_t>(
+                   kSpread[(w >> (8 * (first + byte))) & 0xff])
+               << (16 * byte);
     }
     return out;
 }
@@ -203,17 +199,48 @@ Gf571::operator+(const Gf571 &o) const
 Gf571
 Gf571::operator*(const Gf571 &o) const
 {
-    std::uint64_t prod[2 * kWords] = {0};
+    // tab[u] = u(x) * o(x) for every u of degree < 4; deg <= 573, so
+    // nine words hold each multiple.
+    std::uint64_t tab[16][kWords];
     for (unsigned i = 0; i < kWords; ++i) {
-        if (!w_[i])
-            continue;
+        tab[0][i] = 0;
+        tab[1][i] = o.w_[i];
+    }
+    for (unsigned u = 2; u < 16; u += 2) {
+        // tab[u] = x * tab[u/2]; tab[u+1] = tab[u] + o.
+        std::uint64_t carry = 0;
+        for (unsigned i = 0; i < kWords; ++i) {
+            const std::uint64_t w = tab[u / 2][i];
+            tab[u][i] = (w << 1) | carry;
+            carry = w >> 63;
+            tab[u + 1][i] = tab[u][i] ^ o.w_[i];
+        }
+    }
+
+    // Comb: for each nibble position, from the top down, add the
+    // multiple selected by every word's nibble, then shift by x^4.
+    // Word j's multiple lands on product words j..j+8, so product
+    // word j is complete once it is in: the sum runs in a nine-word
+    // window that slides one word per j, and each product word is
+    // written once per pass.
+    std::uint64_t prod[2 * kWords] = {0};
+    for (int nib = 15; nib >= 0; --nib) {
+        std::uint64_t win[kWords] = {0};
         for (unsigned j = 0; j < kWords; ++j) {
-            if (!o.w_[j])
-                continue;
-            std::uint64_t hi, lo;
-            clmul64(w_[i], o.w_[j], hi, lo);
-            prod[i + j] ^= lo;
-            prod[i + j + 1] ^= hi;
+            const std::uint64_t *row = tab[(w_[j] >> (4 * nib)) & 0xf];
+            for (unsigned i = 0; i < kWords; ++i)
+                win[i] ^= row[i];
+            prod[j] ^= win[0];
+            for (unsigned i = 0; i + 1 < kWords; ++i)
+                win[i] = win[i + 1];
+            win[kWords - 1] = 0;
+        }
+        for (unsigned i = 0; i + 1 < kWords; ++i)
+            prod[kWords + i] ^= win[i];
+        if (nib) {
+            for (unsigned i = 2 * kWords - 1; i > 0; --i)
+                prod[i] = (prod[i] << 4) | (prod[i - 1] >> 60);
+            prod[0] <<= 4;
         }
     }
     reduce(prod);
@@ -226,20 +253,10 @@ Gf571::operator*(const Gf571 &o) const
 Gf571
 Gf571::square() const
 {
-    std::uint64_t prod[2 * kWords] = {0};
+    std::uint64_t prod[2 * kWords];
     for (unsigned i = 0; i < kWords; ++i) {
-        const std::uint64_t w = w_[i];
-        std::uint64_t lo = 0, hi = 0;
-        for (unsigned byte = 0; byte < 4; ++byte) {
-            lo |= static_cast<std::uint64_t>(spreadByte(
-                      static_cast<std::uint8_t>(w >> (8 * byte))))
-                  << (16 * byte);
-            hi |= static_cast<std::uint64_t>(spreadByte(
-                      static_cast<std::uint8_t>(w >> (8 * (byte + 4)))))
-                  << (16 * byte);
-        }
-        prod[2 * i] = lo;
-        prod[2 * i + 1] = hi;
+        prod[2 * i] = spreadHalf(w_[i], 0);
+        prod[2 * i + 1] = spreadHalf(w_[i], 4);
     }
     reduce(prod);
     Gf571 out;

@@ -67,6 +67,35 @@ TEST(GroundTruthEvset, ProducesCongruentSet)
     }
 }
 
+TEST(GroundTruthEvset, ShortSetIsReportedNotFatal)
+{
+    AttackRig rig(91);
+    const Addr target = rig.pool.at(0, 30);
+    const unsigned ways = rig.machine.config().sf.ways;
+    bool short_set = true;
+    const auto full = groundTruthEvictionSet(rig.machine, rig.pool,
+                                             target, ways, 1,
+                                             &short_set);
+    EXPECT_FALSE(short_set);
+    EXPECT_EQ(full, groundTruthEvictionSet(rig.machine, rig.pool, target,
+                                           ways, 1));
+
+    // Ask for more congruent lines than the whole pool holds.
+    const unsigned too_many = static_cast<unsigned>(rig.pool.pages());
+    const auto partial = groundTruthEvictionSet(
+        rig.machine, rig.pool, target, too_many, 0, &short_set);
+    EXPECT_TRUE(short_set);
+    EXPECT_LT(partial.size(), too_many);
+    EXPECT_GE(partial.size(), full.size());
+    for (Addr a : partial) {
+        EXPECT_EQ(rig.machine.sharedSetOf(a),
+                  rig.machine.sharedSetOf(target));
+    }
+    EXPECT_DEATH(groundTruthEvictionSet(rig.machine, rig.pool, target,
+                                        too_many),
+                 "pool too small");
+}
+
 TEST(MatchDetections, CountsWithinEpsilonOnly)
 {
     EXPECT_DOUBLE_EQ(matchDetections({1000, 2000, 3000},

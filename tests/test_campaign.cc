@@ -5,7 +5,8 @@
  * (distinct keys, page offsets, noise), the fleet summary arithmetic,
  * campaign JSON (including the null cycles-per-key of an empty-handed
  * campaign), the paper-consistent success band on the quiet
- * Skylake-SP campaign, 1-vs-8-thread byte-identical suite JSON, and
+ * Skylake-SP campaign, a forked fleet whose world's training draws a
+ * short shared set, 1-vs-8-thread byte-identical suite JSON, and
  * the end-to-end partial-result path against a quota-limited victim.
  */
 
@@ -200,6 +201,19 @@ TEST(CampaignRegression, QuietSkylakeFleetRecoversKeys)
     const StreamingStats *pc = result.aggregate.metric("pc_accesses");
     ASSERT_NE(pc, nullptr);
     EXPECT_GT(pc->mean(), 0.0);
+}
+
+TEST(CampaignRegression, ForkWorldTrainsWhenADrawHitsAShortSet)
+{
+    // World seed 57 of the tiny forked fleet: a random non-target
+    // draw in classifier training lands on a shared set with fewer
+    // than W_SF other lines in the 120-page pool. Training redraws
+    // instead of ending the process, and the fleet runs.
+    KeyRecoveryCampaign campaign(
+        campaignSpec("campaign-fork-tiny-silent-96"));
+    CampaignResult result = campaign.run(2, 1, 57);
+    EXPECT_EQ(result.summary.fleet, 2u);
+    EXPECT_FALSE(result.interrupted);
 }
 
 // ------------------------------------------------------- determinism

@@ -2,9 +2,11 @@
  * @file
  * Tests for the cryptographic substrate: BigUint arithmetic against
  * known values and algebraic properties, SHA-256 FIPS vectors,
- * GF(2^571) field axioms, sect571r1 curve-group properties, the
- * Montgomery ladder vs double-and-add cross-check, and ECDSA
- * sign/verify round trips including nonce-bit ground truth.
+ * GF(2^571) field axioms and the comb multiply against a bit-serial
+ * reference, sect571r1 curve-group properties, the ladder-based
+ * scalar multiplications against an affine double-and-add oracle
+ * (random and edge scalars and points), and ECDSA sign/verify round
+ * trips including nonce-bit ground truth.
  */
 
 #include <gtest/gtest.h>
@@ -66,6 +68,49 @@ TEST(BigUint, DivmodIdentity)
         EXPECT_TRUE(r < d);
         EXPECT_EQ(q * d + r, n);
     }
+}
+
+TEST(BigUint, DivmodEdgeCases)
+{
+    auto check = [](const BigUint &n, const BigUint &d) {
+        auto [q, r] = BigUint::divmod(n, d);
+        EXPECT_TRUE(r < d) << n.toHex() << " / " << d.toHex();
+        EXPECT_EQ(q * d + r, n) << n.toHex() << " / " << d.toHex();
+        return std::make_pair(q, r);
+    };
+    Rng rng(42);
+    for (int i = 0; i < 20; ++i) {
+        const BigUint n = BigUint::fromLimbs(
+            {rng.next(), rng.next(), rng.next(), rng.next() >> (i % 64)});
+        // den = 1: quotient is the numerator.
+        auto [q1, r1] = check(n, BigUint(1));
+        EXPECT_EQ(q1, n);
+        EXPECT_TRUE(r1.isZero());
+        // den a power of two: a shift and a mask.
+        const unsigned s = 1 + static_cast<unsigned>(rng.nextBelow(200));
+        auto [q2, r2] = check(n, BigUint(1) << s);
+        EXPECT_EQ(q2, n >> s);
+        EXPECT_EQ(r2, n - ((n >> s) << s));
+        // Equal bit lengths: quotient 1 (or 0 when num < den).
+        const BigUint d = (n >> 1) + (BigUint(1) << (n.bitLength() - 1));
+        ASSERT_EQ(d.bitLength(), n.bitLength());
+        auto [q3, r3] = check(n, d);
+        EXPECT_EQ(q3, n < d ? BigUint() : BigUint(1));
+        // num < den and num == den.
+        auto [q4, r4] = check(n, n + BigUint(1));
+        EXPECT_TRUE(q4.isZero());
+        EXPECT_EQ(r4, n);
+        auto [q5, r5] = check(n, n);
+        EXPECT_EQ(q5, BigUint(1));
+        EXPECT_TRUE(r5.isZero());
+        // One bit longer than den, and a 1-limb den under a 4-limb num.
+        check(n, (n >> 1) + BigUint(1));
+        check(n, BigUint(rng.next() | 1));
+    }
+    // Zero numerator.
+    auto [q0, r0] = check(BigUint(), BigUint(7));
+    EXPECT_TRUE(q0.isZero());
+    EXPECT_TRUE(r0.isZero());
 }
 
 TEST(BigUint, ModularOps)
@@ -254,6 +299,52 @@ TEST_F(Gf571Test, SmallKnownProduct)
               BigUint::fromHex("425").toHex());
 }
 
+/**
+ * Bit-serial reference product: sum of a * x^i over the set bits i of
+ * b, multiplying by x one step at a time and folding x^571 back as
+ * x^10 + x^5 + x^2 + 1.
+ */
+Gf571
+shiftAndAddProduct(const Gf571 &a, const Gf571 &b)
+{
+    std::vector<std::uint64_t> acc(9, 0);
+    std::vector<std::uint64_t> ax(a.words().begin(), a.words().end());
+    for (unsigned i = 0; i < Gf571::kBits; ++i) {
+        if ((b.words()[i / 64] >> (i % 64)) & 1) {
+            for (unsigned w = 0; w < 9; ++w)
+                acc[w] ^= ax[w];
+        }
+        for (unsigned w = 9; w-- > 1;)
+            ax[w] = (ax[w] << 1) | (ax[w - 1] >> 63);
+        ax[0] <<= 1;
+        if ((ax[8] >> 59) & 1) { // bit 571
+            ax[8] &= ~(1ULL << 59);
+            ax[0] ^= 0x425;
+        }
+    }
+    return Gf571::fromBigUint(BigUint::fromLimbs(std::move(acc)));
+}
+
+TEST_F(Gf571Test, CombMultiplyMatchesShiftAndAdd)
+{
+    Rng rng(69);
+    std::vector<Gf571> operands = {
+        Gf571(), Gf571(1), Gf571(2), Gf571(0xf),
+        Gf571::fromBigUint(BigUint(1) << 570),
+        Gf571::fromBigUint((BigUint(1) << 571) - BigUint(1)),
+        Gf571::fromBigUint(BigUint(0xf) << 567),
+    };
+    for (int i = 0; i < 25; ++i)
+        operands.push_back(randomElement(rng));
+    for (const Gf571 &a : operands) {
+        for (const Gf571 &b : operands) {
+            ASSERT_EQ(a * b, shiftAndAddProduct(a, b))
+                << a.toHex() << " * " << b.toHex();
+        }
+        EXPECT_EQ(a.square(), shiftAndAddProduct(a, a)) << a.toHex();
+    }
+}
+
 TEST_F(Gf571Test, BigUintConversionRoundTrip)
 {
     Rng rng(71);
@@ -264,6 +355,48 @@ TEST_F(Gf571Test, BigUintConversionRoundTrip)
 }
 
 // ------------------------------------------------------------ sect571r1
+
+/**
+ * Affine double-and-add k * P, an inversion per step: the test oracle
+ * for the ladder-based scalarMul.
+ */
+Ec2mPoint
+affineScalarMul(const Sect571r1 &curve, const BigUint &k,
+                const Ec2mPoint &p)
+{
+    Ec2mPoint acc; // infinity
+    for (unsigned i = k.bitLength(); i-- > 0;) {
+        acc = curve.dbl(acc);
+        if (k.bit(i))
+            acc = curve.add(acc, p);
+    }
+    return acc;
+}
+
+/** Same point (both infinity, or equal coordinates). */
+::testing::AssertionResult
+samePoint(const Ec2mPoint &got, const Ec2mPoint &want)
+{
+    if (got.infinity != want.infinity)
+        return ::testing::AssertionFailure()
+               << "infinity " << got.infinity << " != " << want.infinity;
+    if (!got.infinity && (got.x != want.x || got.y != want.y))
+        return ::testing::AssertionFailure()
+               << "(" << got.x.toHex() << ", " << got.y.toHex()
+               << ") != (" << want.x.toHex() << ", " << want.y.toHex()
+               << ")";
+    return ::testing::AssertionSuccess();
+}
+
+/** The 2-torsion point (0, sqrt(b)); sqrt(b) = b^(2^570). */
+Ec2mPoint
+twoTorsionPoint(const Sect571r1 &curve)
+{
+    Gf571 y = curve.b();
+    for (unsigned i = 0; i < Gf571::kBits - 1; ++i)
+        y = y.square();
+    return Ec2mPoint::make(Gf571(), y);
+}
 
 TEST(Sect571r1, GeneratorOnCurveAndOrderAnnihilates)
 {
@@ -308,6 +441,56 @@ TEST(Sect571r1, ScalarMulDistributes)
     EXPECT_EQ(lhs.y, rhs.y);
 }
 
+TEST(Sect571r1, ScalarMulMatchesAffineOracle)
+{
+    // Random scalars of every length up to 2n, so both short ladders
+    // and ones that wrap past the order are covered.
+    const auto &curve = Sect571r1::instance();
+    const Ec2mPoint g = curve.generator();
+    Rng rng(79);
+    for (int i = 0; i < 64; ++i) {
+        const unsigned len =
+            1 + static_cast<unsigned>(rng.nextBelow(curve.order()
+                                                        .bitLength() + 1));
+        const BigUint k = BigUint::randomBelow(BigUint(1) << len, rng);
+        const Ec2mPoint got = curve.scalarMul(k, g);
+        EXPECT_TRUE(samePoint(got, affineScalarMul(curve, k, g)))
+            << "k=" << k.toHex();
+        EXPECT_TRUE(curve.onCurve(got)) << "k=" << k.toHex();
+    }
+}
+
+TEST(Sect571r1, ScalarMulEdgeScalarsAndPoints)
+{
+    const auto &curve = Sect571r1::instance();
+    const BigUint &n = curve.order();
+    const Ec2mPoint g = curve.generator();
+    const Ec2mPoint t = twoTorsionPoint(curve);
+    ASSERT_TRUE(curve.onCurve(t));
+    const std::vector<BigUint> scalars = {
+        BigUint(), BigUint(1), BigUint(2), BigUint(3),
+        n - BigUint(1), n, n + BigUint(1), n + n,
+    };
+    const std::vector<Ec2mPoint> points = {g, curve.negate(g), t,
+                                           Ec2mPoint{}};
+    for (std::size_t pi = 0; pi < points.size(); ++pi) {
+        for (const BigUint &k : scalars) {
+            EXPECT_TRUE(samePoint(curve.scalarMul(k, points[pi]),
+                                  affineScalarMul(curve, k, points[pi])))
+                << "point " << pi << " k=" << k.toHex();
+        }
+    }
+    // The special cases by their known answers.
+    EXPECT_TRUE(curve.scalarMul(BigUint(), g).infinity);
+    EXPECT_TRUE(curve.scalarMul(n, g).infinity);
+    EXPECT_TRUE(samePoint(curve.scalarMul(n - BigUint(1), g),
+                          curve.negate(g)));
+    EXPECT_TRUE(samePoint(curve.scalarMul(n + BigUint(1), g), g));
+    EXPECT_TRUE(curve.scalarMul(BigUint(2), t).infinity);
+    EXPECT_TRUE(samePoint(curve.scalarMul(BigUint(3), t), t));
+    EXPECT_TRUE(curve.scalarMul(BigUint(5), Ec2mPoint{}).infinity);
+}
+
 TEST(Sect571r1, LadderMatchesDoubleAndAdd)
 {
     const auto &curve = Sect571r1::instance();
@@ -317,7 +500,7 @@ TEST(Sect571r1, LadderMatchesDoubleAndAdd)
         if (k.isZero())
             continue;
         auto ladder = curve.ladderMulX(k, curve.generator().x);
-        auto ref = curve.scalarMul(k, curve.generator());
+        auto ref = affineScalarMul(curve, k, curve.generator());
         ASSERT_FALSE(ref.infinity);
         ASSERT_FALSE(ladder.infinity);
         EXPECT_EQ(ladder.x, ref.x) << "k=" << k.toHex();
@@ -342,7 +525,7 @@ TEST(Sect571r1, LadderSmallScalars)
     const auto &curve = Sect571r1::instance();
     for (std::uint64_t k : {1ull, 2ull, 3ull, 7ull, 100ull}) {
         auto ladder = curve.ladderMulX(BigUint(k), curve.generator().x);
-        auto ref = curve.scalarMul(BigUint(k), curve.generator());
+        auto ref = affineScalarMul(curve, BigUint(k), curve.generator());
         ASSERT_FALSE(ladder.infinity) << k;
         EXPECT_EQ(ladder.x, ref.x) << k;
     }

@@ -4,8 +4,9 @@
  * against NIST CAVS / FIPS 180-4 byte-oriented vectors beyond the
  * ones in test_crypto.cc, BigUint multiply/divide/mod round-trip
  * identities on random multi-limb operands, slice-hash uniformity and
- * pinned mappings for the default machine salts, and an ECDSA
- * sign/verify + ladder-nonce-bit round trip.
+ * pinned mappings for the default machine salts, an ECDSA
+ * sign/verify + ladder-nonce-bit round trip, and a known-answer test
+ * pinning key generation and two signings byte for byte.
  */
 
 #include <gtest/gtest.h>
@@ -254,6 +255,77 @@ TEST(EcdsaGolden, SignVerifyAndLadderBitRoundTrip)
         k = (k << 1) + BigUint(bit);
     }
     EXPECT_EQ(k, rec.nonce);
+}
+
+/** FNV-1a (64-bit) over a bit vector, one byte per bit. */
+std::uint64_t
+fnv1a(const std::vector<std::uint8_t> &bytes)
+{
+    std::uint64_t h = 0xcbf29ce484222325ULL;
+    for (std::uint8_t b : bytes) {
+        h ^= b;
+        h *= 0x100000001b3ULL;
+    }
+    return h;
+}
+
+TEST(EcdsaGolden, KnownAnswerKeyAndSignatures)
+{
+    // Known answers for a fixed engine seed: key generation (d*G via
+    // scalarMul), then two ladder signings (nonce, ladder bits, and
+    // r, s via the mod-n arithmetic). Any change to the field, curve
+    // or integer kernels that is not bit-exact moves these bytes.
+    Ecdsa ecdsa(Rng{0x6b617400ULL});
+    const EcdsaKeyPair kp = ecdsa.generateKey();
+    EXPECT_EQ(kp.d.toHex(),
+              "3ececb646273c5f5fb23b3d65d8b8e2dbd14a2a06a2390c401f564e14a7d"
+              "148b9466355837e7aa1a4a8623ed1a331e643db49e8654f871a5788ae697"
+              "9246f1eb744c626ab7416ed");
+    EXPECT_EQ(kp.q.x.toHex(),
+              "43e840c9060c878c8bae331207f98b02b7381c2f86f8e6b89ecc041e33c0"
+              "708a412da0d65a1ada63fb8eaa7273d22dc27145cb3429035bd2306d4b33"
+              "e9e88c41088b2a9f4827e1a");
+    EXPECT_EQ(kp.q.y.toHex(),
+              "243acaf7a8e6beefa088166424953ff4a4a8226fcdf2ef006e0e8645f092"
+              "91d9241401818bf1f244c69478c52e243f7e550e477fd4a3cd6c7c4658d3"
+              "0dc19e3b35e5629cc312515");
+
+    struct Expected
+    {
+        const char *r, *s, *nonce;
+        std::uint64_t bitsFnv;
+    };
+    const Expected expected[2] = {
+        {"30ed6e708dfe4d9e9819ef261bbda2c57ae085fe92419c45b10867fbc033"
+         "c38a471a165bcf752d225e616a0559dfcbde2b337b6b2649e7c7a585911d"
+         "7f0c968e839563879b4ba84",
+         "118b8d414b50cd4222246895abf70b8aef3d418092b86db0ab53485a2d41"
+         "450513520108f27c88e3a3a30fa7e6b6d4b0d8d78979afb97feef99ec5d2"
+         "3aaba882d63c8cea0a63a4",
+         "380ada9cd5fd6abb52445beeb5bd9edacb191f5951329f92071055fdf8ab"
+         "a0aa46a0f4c20cd3900b3a68efd06774ca09e40ded50800dafda3b0321c9"
+         "4bb5ebd9b39d2ad5ef9ca3d",
+         0xc3080d58e5235956ULL},
+        {"29e8f07b540252e6a452ff80dc05f631a11ad35a0e8e9867b7fdb20229d1"
+         "3d9076c2a499fa4b83edebe412000b5ed30e12ca3edb6a7dce25d8d5f3c8"
+         "0d469263763bcfd388af543",
+         "3a6123ac38799eb5143548dce13c6dc056b46023dc41a9464097e2ce93de"
+         "1dbfc2bf4b8d30f85837efad4f12d060bc1735c9b9c42bc1d03dbf70f046"
+         "01978046a8e32a87fca3c9a",
+         "107a759aab094647ef3a5f40a7aaf14acfc27664ce22c5c7140d24b887c7"
+         "f76756b03e2fea6a5fb060dc236bf8ef32efeea9d7dced68461aa7724f3c"
+         "0e633d521012c630dde7ba1",
+         0xd8e242d3483c7eabULL},
+    };
+    const Sha256Digest digest =
+        sha256(std::string("sect571r1 known-answer message"));
+    for (const Expected &e : expected) {
+        const SigningRecord rec = ecdsa.signWithTrace(digest, kp.d);
+        EXPECT_EQ(rec.signature.r.toHex(), e.r);
+        EXPECT_EQ(rec.signature.s.toHex(), e.s);
+        EXPECT_EQ(rec.nonce.toHex(), e.nonce);
+        EXPECT_EQ(fnv1a(rec.ladderBits), e.bitsFnv);
+    }
 }
 
 TEST(EcdsaGolden, DistinctNoncesAcrossSignings)
