@@ -9,7 +9,9 @@
 #   scripts/bench_gates.sh --twin <scalar-build-dir> <simd-build-dir>
 #
 # With no gate names, every gate runs in order.  Gates:
-#   harness     bench_fig2 / bench_table4 1-vs-8-thread byte identity
+#   harness     bench_fig2 / bench_table4 / bench_table5 1-vs-8-thread
+#               byte identity (table5 is the only driver of all three
+#               monitors' prime/probe latency statistics)
 #   matrix      bench_matrix smoke: 1v8 identity, counters identity,
 #               bad-selection must-fail
 #   hotpath     bench_hotpath smoke vs BENCH_hotpath.json
@@ -24,6 +26,9 @@
 # --twin mode runs the cross-build byte-identity check instead: two
 # build trees of the same commit (scalar and SIMD tag-scan kernels)
 # must emit byte-identical bench JSON.
+#
+# Each gate's wall seconds go to <build-dir>/gate-wall.tsv (tracked
+# only: shared-runner noise is too large for a time gate).
 #
 # Exits non-zero on the first failing gate.  Requires the build dir to
 # contain the bench executables (cmake --build <dir>).
@@ -77,6 +82,9 @@ gate_harness() {
     LLCF_WS_OFFSETS=2 ./bench_table4 --threads=8 --trials=1 \
         --json-out=t4_t8.json > /dev/null
     cmp t4_t1.json t4_t8.json
+    ./bench_table5 --threads=1 --json-out=t5_t1.json > /dev/null
+    ./bench_table5 --threads=8 --json-out=t5_t8.json > /dev/null
+    cmp t5_t1.json t5_t8.json
 }
 
 gate_matrix() {
@@ -174,8 +182,10 @@ gate_suite() {
     fi
 }
 
+printf 'gate\twall_s\n' > gate-wall.tsv
 for gate in "${gates[@]}"; do
     echo "== gate: $gate =="
+    gate_start=$EPOCHREALTIME
     case "$gate" in
       harness) gate_harness ;;
       matrix) gate_matrix ;;
@@ -186,5 +196,7 @@ for gate in "${gates[@]}"; do
       e2e|calib|defense|traffic) gate_suite "$gate" ;;
       *) fail "unknown gate '$gate'" ;;
     esac
+    awk -v g="$gate" -v a="$gate_start" -v b="$EPOCHREALTIME" \
+        'BEGIN { printf "%s\t%.1f\n", g, b - a }' >> gate-wall.tsv
 done
 echo "bench_gates: all gates passed (${gates[*]})"

@@ -29,15 +29,33 @@ PrimeProbeMonitor::record(SampleStats &stats, Cycles value)
         stats.add(static_cast<double>(value));
 }
 
+PrimeProbeMonitor::ProbeResult
+PrimeProbeMonitor::probe()
+{
+    const ProbeBatch pb = probeBatch();
+    const Cycles d = session_.machine().accessBatch(
+        session_.config().mainCore, pb.lines, pb.spec);
+    record(probeStats_, d);
+    return {d > pb.threshold, d};
+}
+
 std::vector<Cycles>
 PrimeProbeMonitor::collectTrace(Cycles deadline)
 {
     Machine &m = session_.machine();
+    const unsigned core = session_.config().mainCore;
     std::vector<Cycles> detections;
     prime();
     while (m.now() < deadline) {
-        const ProbeResult r = probe();
-        if (r.detected) {
+        // Probe until a detection or the deadline.
+        const ProbeBatch pb = probeBatch();
+        Cycles last = 0;
+        m.repeatBatch(core, pb.lines, pb.spec, ~std::uint64_t{0}, deadline,
+                      pb.threshold, [this, &last](Cycles d) {
+                          record(probeStats_, d);
+                          last = d;
+                      });
+        if (last > pb.threshold) {
             detections.push_back(m.now());
             prime();
         }
@@ -50,6 +68,8 @@ PrimeProbeMonitor::make(MonitorKind kind, AttackSession &session,
                         std::vector<Addr> evset,
                         std::vector<Addr> alt_evset)
 {
+    if (evset.empty())
+        fatal("%s needs a non-empty eviction set", monitorKindName(kind));
     switch (kind) {
       case MonitorKind::Parallel:
         return std::make_unique<ParallelMonitor>(session,
@@ -86,8 +106,8 @@ ParallelMonitor::ParallelMonitor(AttackSession &session,
         baseline.add(static_cast<double>(
             m.accessBatch(core, evset_, loads)));
     }
-    threshold_ = std::max(baseline.median() + 120.0,
-                          baseline.percentile(90.0) + 60.0);
+    threshold_ = wholeCycles(std::max(baseline.median() + 120.0,
+                                      baseline.percentile(90.0) + 60.0));
 }
 
 Cycles
@@ -98,21 +118,17 @@ ParallelMonitor::prime()
     // Traverse the eviction set 12 times with overlapped accesses;
     // no replacement-state preparation needed (Section 6.1).
     Cycles total = 0;
-    for (int pass = 0; pass < 12; ++pass)
-        total += m.accessBatch(core, evset_, {BatchOp::Store, true, -1});
+    m.repeatBatch(core, evset_, {BatchOp::Store, true, -1}, 12,
+                  kNeverCycles, kNeverCycles,
+                  [&total](Cycles d) { total += d; });
     record(primeStats_, total);
     return total;
 }
 
-PrimeProbeMonitor::ProbeResult
-ParallelMonitor::probe()
+PrimeProbeMonitor::ProbeBatch
+ParallelMonitor::probeBatch() const
 {
-    Machine &m = session_.machine();
-    const unsigned core = session_.config().mainCore;
-    const Cycles d = m.accessBatch(core, evset_,
-                                   {BatchOp::Load, true, -1});
-    record(probeStats_, d);
-    return {static_cast<double>(d) > threshold_, d};
+    return {evset_, {BatchOp::Load, true, -1}, threshold_};
 }
 
 // ------------------------------------------------------- PS-Flush
@@ -137,18 +153,15 @@ PsFlushMonitor::prime()
     return total;
 }
 
-PrimeProbeMonitor::ProbeResult
-PsFlushMonitor::probe()
+PrimeProbeMonitor::ProbeBatch
+PsFlushMonitor::probeBatch() const
 {
-    Machine &m = session_.machine();
-    const unsigned core = session_.config().mainCore;
     // Scope: check only whether the EVC is still in the private
-    // caches; a hit leaves the set's state untouched.
-    const Cycles d = m.probeLoad(core, evset_.front());
-    record(probeStats_, d);
-    const bool miss = static_cast<double>(d) >
-                      session_.config().thresholds.privateMiss;
-    return {miss, d};
+    // caches; a hit leaves the set's state untouched.  A one-element
+    // ProbeLoad batch is exactly one probeLoad.
+    return {std::span<const Addr>(evset_.data(), 1),
+            {BatchOp::ProbeLoad},
+            wholeCycles(session_.config().thresholds.privateMiss)};
 }
 
 // --------------------------------------------------------- PS-Alt
@@ -177,16 +190,12 @@ PsAltMonitor::prime()
     return total;
 }
 
-PrimeProbeMonitor::ProbeResult
-PsAltMonitor::probe()
+PrimeProbeMonitor::ProbeBatch
+PsAltMonitor::probeBatch() const
 {
-    Machine &m = session_.machine();
-    const unsigned core = session_.config().mainCore;
-    const Cycles d = m.probeLoad(core, sets_[active_].front());
-    record(probeStats_, d);
-    const bool miss = static_cast<double>(d) >
-                      session_.config().thresholds.privateMiss;
-    return {miss, d};
+    return {std::span<const Addr>(sets_[active_].data(), 1),
+            {BatchOp::ProbeLoad},
+            wholeCycles(session_.config().thresholds.privateMiss)};
 }
 
 } // namespace llcf

@@ -15,13 +15,16 @@
  *
  * Monitors keep prime/probe latency statistics (Table 5) and expose a
  * trace-collection loop producing detection timestamps (the input to
- * the PSD pipeline and the nonce extractor).
+ * the PSD pipeline and the nonce extractor).  Each strategy only
+ * supplies its prime and its probe batch with a detection threshold;
+ * the one probe loop lives in PrimeProbeMonitor::collectTrace.
  */
 
 #ifndef LLCF_ATTACK_MONITOR_HH
 #define LLCF_ATTACK_MONITOR_HH
 
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "common/stats.hh"
@@ -52,15 +55,30 @@ class PrimeProbeMonitor
 
     virtual MonitorKind kind() const = 0;
 
+    /** What one probe issues, and when it counts as a detection. */
+    struct ProbeBatch
+    {
+        std::span<const Addr> lines;
+        BatchSpec spec;
+        Cycles threshold = 0; //!< a probe taking longer detects
+    };
+
     /** Prepare the monitored set; returns the prime duration. */
     virtual Cycles prime() = 0;
 
-    /** One probe; records latency statistics. */
-    virtual ProbeResult probe() = 0;
+    /** The current probe batch (valid until the next prime()). */
+    virtual ProbeBatch probeBatch() const = 0;
+
+    /** One probe of probeBatch(); records latency statistics. */
+    ProbeResult probe();
 
     /**
      * Monitor until @p deadline (absolute): prime once, then probe
-     * continuously, re-priming after each detection.
+     * continuously, re-priming after each detection.  Exactly the
+     * loop `prime(); while (now < deadline) { if (probe().detected)
+     * { record now; prime(); } }`, run through Machine::repeatBatch so
+     * the quiet stretches between background events cost closed-form
+     * time on a noise-free machine (DESIGN.md §13).
      * @return detection timestamps (probe completion times).
      */
     std::vector<Cycles> collectTrace(Cycles deadline);
@@ -74,7 +92,8 @@ class PrimeProbeMonitor
     /**
      * Build a monitor.  @p evset must be a minimal SF eviction set;
      * @p alt_evset is required by PsAlt (a second eviction set for
-     * the same SF set) and ignored otherwise.
+     * the same SF set) and ignored otherwise.  Fatal on an empty
+     * set, which has nothing to prime or probe.
      */
     static std::unique_ptr<PrimeProbeMonitor> make(
         MonitorKind kind, AttackSession &session,
@@ -89,6 +108,16 @@ class PrimeProbeMonitor
     /** Record a latency sample, dropping >20k-cycle outliers. */
     static void record(SampleStats &stats, Cycles value);
 
+    /**
+     * The integer threshold equivalent to "latency > @p t" for a
+     * real-valued @p t (latencies are whole, positive cycles).
+     */
+    static Cycles
+    wholeCycles(double t)
+    {
+        return t <= 0.0 ? 0 : static_cast<Cycles>(t);
+    }
+
     AttackSession &session_;
     SampleStats primeStats_;
     SampleStats probeStats_;
@@ -102,11 +131,11 @@ class ParallelMonitor : public PrimeProbeMonitor
 
     MonitorKind kind() const override { return MonitorKind::Parallel; }
     Cycles prime() override;
-    ProbeResult probe() override;
+    ProbeBatch probeBatch() const override;
 
   private:
     std::vector<Addr> evset_;
-    double threshold_ = 0.0; //!< calibrated probe-duration threshold
+    Cycles threshold_ = 0; //!< calibrated probe-duration threshold
 };
 
 /** Prime+Scope with the flush-based prime pattern. */
@@ -117,7 +146,7 @@ class PsFlushMonitor : public PrimeProbeMonitor
 
     MonitorKind kind() const override { return MonitorKind::PsFlush; }
     Cycles prime() override;
-    ProbeResult probe() override;
+    ProbeBatch probeBatch() const override;
 
   private:
     std::vector<Addr> evset_;
@@ -132,7 +161,7 @@ class PsAltMonitor : public PrimeProbeMonitor
 
     MonitorKind kind() const override { return MonitorKind::PsAlt; }
     Cycles prime() override;
-    ProbeResult probe() override;
+    ProbeBatch probeBatch() const override;
 
   private:
     std::vector<Addr> sets_[2];

@@ -151,6 +151,12 @@ class CacheArray
     /** Zero the event counters (cache contents are untouched). */
     void resetCounters() { counters_ = ArrayCounters{}; }
 
+    /**
+     * Credit @p delta to the event counters: the events of operations
+     * applied in closed form rather than simulated one by one.
+     */
+    void addCounters(const ArrayCounters &delta) { counters_ += delta; }
+
     /** Flat set id from slice and per-slice index. */
     unsigned
     flatSet(unsigned slice, unsigned index) const
@@ -169,6 +175,23 @@ class CacheArray
 
     /** Words in one padded tag row (ways rounded up to kTagLane). */
     unsigned tagRowWords() const { return paddedWays_; }
+
+    /**
+     * Read-only view of @p set's metadata row (metaRowWords() words:
+     * coherence and owner bytes, valid count, replacement state).
+     * Together with tagRow() this is the set's whole simulated state,
+     * which the Machine's repeat fast-forward compares across
+     * repetitions; mutate through the operations below only.
+     */
+    const std::uint64_t *
+    metaRow(unsigned set) const
+    {
+        return metaBase_ + static_cast<std::size_t>(set) * metaStride_ +
+               metaOffset_;
+    }
+
+    /** Words in one metadata row. */
+    std::size_t metaRowWords() const { return metaWords_; }
 
     /**
      * Hint the host to pull @p set's tag row into its caches.  The
@@ -433,9 +456,7 @@ class CacheArray
     const std::uint8_t *
     metaOf(unsigned set) const
     {
-        return reinterpret_cast<const std::uint8_t *>(
-            metaBase_ + static_cast<std::size_t>(set) * metaStride_ +
-            metaOffset_);
+        return reinterpret_cast<const std::uint8_t *>(metaRow(set));
     }
 
     /** Replacement state inside a set's metadata row. */

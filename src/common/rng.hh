@@ -133,6 +133,9 @@ class Rng
      */
     Rng split();
 
+    /** Same stream position (state words and cached deviate). */
+    bool operator==(const Rng &o) const = default;
+
     /** Fisher-Yates shuffle of a random-access container. */
     template <typename Container>
     void

@@ -27,12 +27,18 @@
  * set keeps a last-sync timestamp, and the first access after time
  * advances replays the Poisson tenant noise and any registered victim
  * stream events that fell into the gap.  This makes a 57,344-set noisy
- * machine cheap while preserving per-set event ordering.
+ * machine cheap while preserving per-set event ordering.  The same
+ * laziness lets repeatBatch() fast-forward a monitor's probe loop:
+ * between two background events nothing can touch the probed lines'
+ * sets, so once the repetitions served from the private caches repeat
+ * with a short period, whole periods up to the next stream event or
+ * defense tick are applied in closed form (DESIGN.md §13).
  */
 
 #ifndef LLCF_SIM_MACHINE_HH
 #define LLCF_SIM_MACHINE_HH
 
+#include <functional>
 #include <memory>
 #include <span>
 #include <vector>
@@ -225,6 +231,40 @@ class Machine
                            {BatchOp::Load, true,
                             static_cast<int>(helper)});
     }
+
+    /** What one repeatBatch() call did. */
+    struct RepeatResult
+    {
+        std::uint64_t reps = 0;       //!< repetitions run (= on_rep calls)
+        std::uint64_t closedForm = 0; //!< of those, applied in closed form
+    };
+
+    /**
+     * Repeat one batch.  Behaves exactly like the loop
+     *
+     *     while (reps < max_reps && now() < until) {
+     *         d = accessBatch(core, pas, spec);
+     *         ++reps;
+     *         on_rep(d);
+     *         if (d > max_duration)
+     *             break;
+     *     }
+     *
+     * — same cache state, clock, RNG streams, counters and on_rep
+     * sequence — which is how every Prime+Probe monitor runs its probe
+     * loop.  On a machine without tenant noise, jitter or interrupts,
+     * repetitions served entirely from @p core's L1/L2 are recorded;
+     * once their start state (the lines' private sets and both RNGs)
+     * repeats with a period of at most 8 repetitions, whole periods
+     * are applied in closed form up to the next stream event on the
+     * lines' shared sets, defense tick, @p until or @p max_reps
+     * (DESIGN.md §13).  @p on_rep must not operate on this machine.
+     * Fatal on an empty batch, which would advance no clock.
+     */
+    RepeatResult repeatBatch(unsigned core, std::span<const Addr> pas,
+                             const BatchSpec &spec, std::uint64_t max_reps,
+                             Cycles until, Cycles max_duration,
+                             const std::function<void(Cycles)> &on_rep);
 
     /** Flush one line from every cache level. */
     Cycles clflush(unsigned core, Addr pa);
@@ -612,6 +652,55 @@ class Machine
     std::uint64_t sfProtectedMask_ = 0;  //!< victim-domain SF ways
     std::uint64_t sfOtherMask_ = 0;      //!< everyone else's SF ways
     SelfEvictionWatchdog watchdog_;
+
+    // ------------------------------------------ repeatBatch scratch
+    // Host-side buffers of the period detector, reused across calls
+    // so the per-repetition capture never allocates.  Not simulated
+    // state: no snapshot carries them.
+
+    /**
+     * What repeatBatch records at the start of each repetition: the
+     * RNG streams and every counter a private-hit repetition advances
+     * (the lines' private rows go to repeatRows_).
+     */
+    struct RepeatMark
+    {
+        Rng rng;
+        Rng jitterRng;
+        Cycles clock = 0;
+        Cycles duration = 0; //!< of the repetition starting here
+        MachineStats stats;
+        std::uint64_t levelAccesses[kHitLevelCount] = {};
+        std::uint64_t cohDowngrades = 0;
+        ArrayCounters l1; //!< the repeating core's L1
+        ArrayCounters l2; //!< the repeating core's L2
+        std::uint64_t sharedScans = 0;   //!< LLC + SF tag scans
+        std::uint64_t defenseEvents = 0; //!< re-keys + watchdog probes
+        unsigned privateHitStreak = 0;
+    };
+
+    /** Record the live state as @p mark plus its private rows. */
+    void captureRepeatMark(unsigned core, RepeatMark &mark,
+                           std::uint64_t *rows) const;
+
+    /**
+     * True iff every repetition since @p mark was served from the
+     * private caches with no background or defense activity.
+     */
+    bool privateOnlySince(const RepeatMark &mark) const;
+
+    /**
+     * Apply @p n more periods of the repetitions since @p mark (the
+     * live state equals the state at @p mark) in closed form.
+     */
+    void applyPeriods(unsigned core, const RepeatMark &mark,
+                      std::uint64_t n);
+
+    std::vector<RepeatMark> repeatMarks_;
+    std::vector<std::uint64_t> repeatRows_;
+    std::vector<unsigned> repeatL1Sets_;
+    std::vector<unsigned> repeatL2Sets_;
+    std::vector<unsigned> repeatSharedSets_;
 };
 
 } // namespace llcf

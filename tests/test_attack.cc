@@ -2,7 +2,8 @@
  * @file
  * Tests for the attack layer: Prime+Probe monitors (detection,
  * latency ordering, replacement-policy independence of Parallel
- * Probing), the covert-channel harness, the PSD trace classifier and
+ * Probing, collectTrace against the plain probe loop), the
+ * covert-channel harness, the PSD trace classifier and
  * target-set scanner, the nonce extractor, and an end-to-end attack
  * smoke run on a miniature machine.
  */
@@ -13,6 +14,7 @@
 #include "attack/e2e.hh"
 #include "attack/extractor.hh"
 #include "attack/scanner.hh"
+#include "machine_state.hh"
 #include "noise/profile.hh"
 
 namespace llcf {
@@ -51,6 +53,77 @@ struct AttackRig
     AttackSession session;
     CandidatePool pool;
 };
+
+/** One monitor run: what it detected, its latency samples, its end state. */
+struct MonitorRun
+{
+    std::vector<Cycles> detections;
+    std::vector<double> primeSamples;
+    std::vector<double> probeSamples;
+    Machine::Snapshot end;
+};
+
+/**
+ * Monitor a sender's stream on the tiny silent host with @p kind,
+ * either through collectTrace or through the plain loop over
+ * prime()/probe() it must equal.
+ */
+MonitorRun
+monitorSender(MonitorKind kind, bool plain_loop)
+{
+    AttackRig rig(57);
+    const Addr sender = rig.pool.at(1, 17);
+    const unsigned ways = rig.machine.config().sf.ways;
+    auto evset = groundTruthEvictionSet(rig.machine, rig.pool, sender, ways);
+    std::vector<Addr> alt;
+    if (kind == MonitorKind::PsAlt)
+        alt = groundTruthEvictionSet(rig.machine, rig.pool, sender, ways,
+                                     ways);
+    Machine &m = rig.machine;
+    std::vector<Cycles> times;
+    for (int i = 0; i < 40; ++i)
+        times.push_back(m.now() + 100'000 + 20'000 * static_cast<Cycles>(i));
+    m.addStream(2, sender, times);
+    const Cycles deadline = times.back() + 20'000;
+
+    auto monitor = PrimeProbeMonitor::make(kind, rig.session,
+                                           std::move(evset), std::move(alt));
+    MonitorRun run;
+    if (plain_loop) {
+        monitor->prime();
+        while (m.now() < deadline) {
+            if (monitor->probe().detected) {
+                run.detections.push_back(m.now());
+                monitor->prime();
+            }
+        }
+    } else {
+        run.detections = monitor->collectTrace(deadline);
+    }
+    run.primeSamples = monitor->primeStats().samples();
+    run.probeSamples = monitor->probeStats().samples();
+    run.end = m.snapshot();
+    return run;
+}
+
+TEST(MonitorLoop, CollectTraceEqualsThePlainProbeLoop)
+{
+    for (const MonitorKind kind :
+         {MonitorKind::Parallel, MonitorKind::PsFlush, MonitorKind::PsAlt}) {
+        SCOPED_TRACE(monitorKindName(kind));
+        const MonitorRun fast = monitorSender(kind, false);
+        const MonitorRun plain = monitorSender(kind, true);
+        // PS-Alt catches only a few of the sender's accesses on this
+        // host; the equality below is what this test is about.
+        EXPECT_GE(fast.detections.size(),
+                  kind == MonitorKind::PsAlt ? 1u : 20u);
+        EXPECT_GT(fast.probeSamples.size(), 1000u);
+        EXPECT_EQ(fast.detections, plain.detections);
+        EXPECT_EQ(fast.primeSamples, plain.primeSamples);
+        EXPECT_EQ(fast.probeSamples, plain.probeSamples);
+        expectSameState(fast.end, plain.end);
+    }
+}
 
 TEST(GroundTruthEvset, ProducesCongruentSet)
 {
@@ -187,6 +260,24 @@ TEST_F(MonitorTest, PsAltNeedsTwoSets)
             (void)m;
         },
         "second eviction set");
+}
+
+TEST_F(MonitorTest, EmptyEvictionSetIsFatal)
+{
+    // An empty overlapped batch advances no clock, so the probe loop
+    // would spin forever; the Prime+Scope probes would read front()
+    // of an empty vector.  A short ground-truth draw can be empty.
+    for (const MonitorKind kind :
+         {MonitorKind::Parallel, MonitorKind::PsFlush, MonitorKind::PsAlt}) {
+        SCOPED_TRACE(monitorKindName(kind));
+        EXPECT_DEATH(
+            {
+                auto m = PrimeProbeMonitor::make(kind, rig_.session, {},
+                                                 evsetB_);
+                (void)m;
+            },
+            "needs a non-empty eviction set");
+    }
 }
 
 TEST_F(MonitorTest, PsAltRunsWithTwoSets)

@@ -3,11 +3,15 @@
  * Tests for the simulated machine: hit/miss latencies, the
  * SF/LLC coherence interplay of Section 2.3 (E/S transitions,
  * back-invalidation, reuse predictor), clflush, parallel-burst
- * timing, background noise injection, and victim access streams.
+ * timing, background noise injection, victim access streams, and
+ * repeatBatch's closed-form fast-forward against the plain loop.
  */
 
 #include <gtest/gtest.h>
 
+#include <functional>
+
+#include "machine_state.hh"
 #include "noise/profile.hh"
 #include "sim/machine.hh"
 
@@ -378,6 +382,418 @@ TEST(MachineDeterminism, SameSeedSameTrace)
     };
     EXPECT_EQ(run(5), run(5));
     EXPECT_NE(run(5), run(6));
+}
+
+// ------------------------------------------------------- repeatBatch
+//
+// Differentials: two identically seeded machines run the same
+// repeated batch, one through repeatBatch and one through its
+// contract loop over accessBatch, and must end in the same state,
+// field by field, with the same per-repetition durations.
+
+/**
+ * A machine with two groups of SF-congruent lines: `set` (an SF set's
+ * worth, the monitored eviction set), `victim` (one more line of the
+ * same set) and `other` (an SF set's worth of a second set).
+ */
+struct RepeatRig
+{
+    RepeatRig(const MachineConfig &cfg, const NoiseProfile &noise)
+        : m(cfg, noise, 23), space(m.newAddressSpace())
+    {
+        const unsigned pages = 4096;
+        const Addr base = space->mmapAnon(pages * kPageBytes);
+        const auto line = [&](unsigned page, unsigned idx) {
+            return space->translate(base + page * kPageBytes +
+                                    idx * kLineBytes);
+        };
+        const unsigned ways = cfg.sf.ways;
+        const unsigned target = m.sharedSetOf(line(0, 5));
+        const unsigned target2 = m.sharedSetOf(line(0, 40));
+        for (unsigned p = 0; p < pages; ++p) {
+            if (set.size() <= ways && m.sharedSetOf(line(p, 5)) == target)
+                (set.size() < ways ? set : victim).push_back(line(p, 5));
+            if (other.size() < ways &&
+                m.sharedSetOf(line(p, 40)) == target2)
+                other.push_back(line(p, 40));
+            if (!victim.empty() && other.size() == ways)
+                break;
+        }
+    }
+
+    /** Own every line of @p lines on @p core (prime-style stores). */
+    void
+    prime(const std::vector<Addr> &lines, unsigned core = 0)
+    {
+        for (int pass = 0; pass < 3; ++pass)
+            m.parallelStores(core, lines);
+    }
+
+    Machine m;
+    std::unique_ptr<AddressSpace> space;
+    std::vector<Addr> set;
+    std::vector<Addr> victim;
+    std::vector<Addr> other;
+};
+
+/** One differential: what to build, repeat and how often. */
+struct RepeatCase
+{
+    MachineConfig cfg = tinyTest();
+    NoiseProfile noise = silent();
+    BatchSpec spec{BatchOp::Load, true, -1};
+    std::uint64_t maxReps = ~std::uint64_t{0};
+    Cycles span = 200'000; //!< until = start + span (kNeverCycles: none)
+    Cycles maxDuration = kNeverCycles;
+    int rounds = 1; //!< repeatBatch calls, re-priming in between
+    /** Lines to repeat (default: the rig's eviction set). */
+    std::function<std::vector<Addr>(const RepeatRig &)> lines;
+    /** Extra set-up after the warm-up prime (streams, watchdog). */
+    std::function<void(RepeatRig &)> setup;
+};
+
+/** repeatBatch's totals over a differential, plus what the run did. */
+struct RepeatRun
+{
+    std::uint64_t reps = 0;
+    std::uint64_t closedForm = 0;
+    MachineStats stats;   //!< final machine event counters
+    DefenseStats defense; //!< final defense event totals
+};
+
+/**
+ * Run @p c on two identical rigs, through repeatBatch and through the
+ * contract loop, and require the same durations and final state.
+ */
+RepeatRun
+expectRepeatMatchesLoop(const RepeatCase &c)
+{
+    RepeatRig a(c.cfg, c.noise), b(c.cfg, c.noise);
+    EXPECT_EQ(a.set.size(), c.cfg.sf.ways);
+    EXPECT_EQ(a.victim.size(), 1u);
+    EXPECT_EQ(a.other.size(), c.cfg.sf.ways);
+    const std::vector<Addr> la = c.lines ? c.lines(a) : a.set;
+    const std::vector<Addr> lb = c.lines ? c.lines(b) : b.set;
+    EXPECT_EQ(la, lb);
+    EXPECT_FALSE(la.empty());
+    a.prime(a.set);
+    b.prime(b.set);
+    if (c.setup) {
+        c.setup(a);
+        c.setup(b);
+    }
+    RepeatRun total;
+    for (int round = 0; round < c.rounds; ++round) {
+        const Cycles until =
+            c.span == kNeverCycles ? kNeverCycles : a.m.now() + c.span;
+        std::vector<Cycles> da, db;
+        const Machine::RepeatResult r = a.m.repeatBatch(
+            0, la, c.spec, c.maxReps, until, c.maxDuration,
+            [&da](Cycles d) { da.push_back(d); });
+        std::uint64_t reps = 0;
+        while (reps < c.maxReps && b.m.now() < until) {
+            const Cycles d = b.m.accessBatch(0, lb, c.spec);
+            ++reps;
+            db.push_back(d);
+            if (d > c.maxDuration)
+                break;
+        }
+        EXPECT_EQ(r.reps, reps) << "round " << round;
+        EXPECT_EQ(da, db) << "round " << round;
+        EXPECT_LE(r.closedForm, r.reps);
+        total.reps += r.reps;
+        total.closedForm += r.closedForm;
+        a.prime(a.set);
+        b.prime(b.set);
+    }
+    expectSameState(a.m.snapshot(), b.m.snapshot());
+    expectSamePerf(a.m.perfCounters(), b.m.perfCounters());
+    total.stats = a.m.stats();
+    total.defense = a.m.defenseStats();
+    return total;
+}
+
+/** Stream @p times on the rig's victim line, from core 2. */
+std::function<void(RepeatRig &)>
+victimStream(std::vector<Cycles> times)
+{
+    return [times](RepeatRig &rig) {
+        rig.m.addStream(2, rig.victim.at(0), times);
+    };
+}
+
+TEST(RepeatBatch, TinySilentFastForwards)
+{
+    // 5 lines through a 2-way LRU L1: way positions swap on every
+    // probe, so the state repeats with period 2, not 1.
+    RepeatCase c;
+    const auto r = expectRepeatMatchesLoop(c);
+    EXPECT_GT(r.reps, 1000u);
+    EXPECT_GT(r.closedForm, r.reps * 9 / 10);
+
+    // Fractional hit latencies: n closed-form additions to the
+    // per-level cycle sums only match bitwise if replayed one by one.
+    c.cfg.timing.l1Hit = 4.3;
+    c.cfg.timing.l2Hit = 13.7;
+    c.rounds = 3;
+    EXPECT_GT(expectRepeatMatchesLoop(c).closedForm, 0u);
+}
+
+TEST(RepeatBatch, SkylakeAndIceLakeSilentFastForward)
+{
+    for (const MachineConfig &cfg : {skylakeSp(2), iceLakeSp(2)}) {
+        SCOPED_TRACE(cfg.name);
+        RepeatCase c;
+        c.cfg = cfg;
+        const auto r = expectRepeatMatchesLoop(c);
+        EXPECT_GT(r.closedForm, r.reps * 9 / 10);
+    }
+}
+
+/**
+ * Start times of @p reps repetitions of @p c's batch on an undisturbed
+ * rig (warm-up prime and @p c's set-up only): the instants at which a
+ * background event, deadline or defense tick lands exactly on a
+ * repetition boundary.
+ */
+std::vector<Cycles>
+undisturbedStarts(const RepeatCase &c, int reps)
+{
+    RepeatRig rig(c.cfg, c.noise);
+    rig.prime(rig.set);
+    if (c.setup)
+        c.setup(rig);
+    const std::vector<Addr> lines = c.lines ? c.lines(rig) : rig.set;
+    std::vector<Cycles> starts;
+    for (int i = 0; i < reps; ++i) {
+        starts.push_back(rig.m.now());
+        rig.m.accessBatch(0, lines, c.spec);
+    }
+    return starts;
+}
+
+/** Repetitions whose boundaries the boundary tests aim at. */
+constexpr int kBoundaryReps[] = {20, 41, 60};
+
+TEST(RepeatBatch, StreamEventAtPeriodBoundaryAndEitherSide)
+{
+    // A far-off stream keeps replay (and its sync stamps) live.
+    RepeatCase ref;
+    ref.setup = victimStream({kNeverCycles - 1});
+    const std::vector<Cycles> starts = undisturbedStarts(ref, 80);
+    for (const int k : kBoundaryReps) {
+        for (const int delta : {-1, 0, 1}) {
+            SCOPED_TRACE(::testing::Message()
+                         << "event at start(" << k << ") " << delta);
+            RepeatCase c;
+            c.setup = victimStream(
+                {starts[k] + static_cast<Cycles>(delta), starts[k] + 9000});
+            c.span = 20'000;
+            EXPECT_GT(expectRepeatMatchesLoop(c).closedForm, 0u);
+        }
+    }
+}
+
+TEST(RepeatBatch, DeadlineAtPeriodBoundaryAndEitherSide)
+{
+    RepeatCase ref;
+    const std::vector<Cycles> starts = undisturbedStarts(ref, 80);
+    for (const int k : kBoundaryReps) {
+        for (const int delta : {-1, 0, 1}) {
+            SCOPED_TRACE(::testing::Message()
+                         << "until at start(" << k << ") " << delta);
+            RepeatCase c;
+            c.span = starts[k] + static_cast<Cycles>(delta) - starts[0];
+            const auto r = expectRepeatMatchesLoop(c);
+            EXPECT_EQ(r.reps, static_cast<std::uint64_t>(k) +
+                                  (delta > 0 ? 1 : 0));
+            EXPECT_GT(r.closedForm, 0u);
+        }
+    }
+}
+
+TEST(RepeatBatch, DefenseTickAtPeriodBoundaryAndEitherSide)
+{
+    // A watchdog sweep armed right before the repeat, and the first
+    // interval re-key, each due exactly at a repetition boundary or
+    // one cycle either side of it.
+    RepeatCase wd;
+    wd.cfg.defense.watchdog.enabled = true;
+    wd.cfg.defense.watchdog.action = WatchdogAction::ReportOnly;
+    const std::vector<Cycles> wd_starts = undisturbedStarts(wd, 80);
+    RepeatCase rk;
+    rk.cfg.defense.randomize.enabled = true;
+    const std::vector<Cycles> rk_starts = undisturbedStarts(rk, 80);
+    for (const int k : kBoundaryReps) {
+        for (const int delta : {-1, 0, 1}) {
+            SCOPED_TRACE(::testing::Message()
+                         << "tick at start(" << k << ") " << delta);
+            RepeatCase c = wd;
+            c.cfg.defense.watchdog.probePeriod =
+                wd_starts[k] + static_cast<Cycles>(delta) - wd_starts[0];
+            c.setup = [](RepeatRig &rig) { rig.m.armWatchdog(0, rig.set); };
+            c.span = wd_starts[k] - wd_starts[0] + 5000;
+            auto r = expectRepeatMatchesLoop(c);
+            EXPECT_GT(r.closedForm, 0u);
+            EXPECT_GT(r.defense.wdProbes, 0u);
+
+            c = rk;
+            c.cfg.defense.randomize.rekeyInterval =
+                rk_starts[k] + static_cast<Cycles>(delta);
+            c.span = rk_starts[k] - rk_starts[0] + 5000;
+            r = expectRepeatMatchesLoop(c);
+            EXPECT_GT(r.closedForm, 0u);
+            EXPECT_GE(r.defense.rekeys, 1u);
+            // A deadline just past the tick: the re-key's remap stall
+            // decides whether one more repetition starts.
+            c.span = rk_starts[k] + 1 - rk_starts[0];
+            r = expectRepeatMatchesLoop(c);
+            EXPECT_GT(r.closedForm, 0u);
+        }
+    }
+}
+
+TEST(RepeatBatch, ManyStreamEventsAcrossTwoSharedSets)
+{
+    // Lines from two shared sets: both sync stamps shift, once each,
+    // and events on either set bound the skip.
+    RepeatCase c;
+    c.lines = [](const RepeatRig &rig) {
+        return std::vector<Addr>{rig.set[0], rig.other[0], rig.set[1],
+                                 rig.other[1], rig.set[2]};
+    };
+    c.setup = [](RepeatRig &rig) {
+        rig.prime(rig.other);
+        std::vector<Cycles> t1, t2;
+        for (Cycles t = rig.m.now() + 3000; t < rig.m.now() + 400'000;
+             t += 7919)
+            t1.push_back(t);
+        for (Cycles t = rig.m.now() + 5000; t < rig.m.now() + 400'000;
+             t += 12007)
+            t2.push_back(t);
+        rig.m.addStream(2, rig.victim.at(0), t1);
+        rig.m.addStream(1, rig.other.back(), t2, /*is_store=*/true);
+    };
+    c.rounds = 3;
+    const auto r = expectRepeatMatchesLoop(c);
+    EXPECT_GT(r.closedForm, 0u);
+    EXPECT_GE(r.stats.streamAccesses, 40u);
+}
+
+TEST(RepeatBatch, NoisyOrRandomL1NeverFastForwards)
+{
+    RepeatCase noisy;
+    noisy.noise = cloudRun();
+    EXPECT_EQ(expectRepeatMatchesLoop(noisy).closedForm, 0u);
+
+    // Every L2 hit refills the 2-way L1 through a random victim draw,
+    // so the RNG never comes back to a recorded state.
+    RepeatCase random;
+    random.cfg.l1Repl = ReplKind::Random;
+    EXPECT_EQ(expectRepeatMatchesLoop(random).closedForm, 0u);
+}
+
+TEST(RepeatBatch, IntervalRekeyInsideTheWindow)
+{
+    RepeatCase c;
+    c.cfg.defense.randomize.enabled = true;
+    c.cfg.defense.randomize.rekeyInterval = 30'000;
+    std::vector<Cycles> times;
+    for (Cycles t = 5000; t < 2'000'000; t += 6007)
+        times.push_back(t);
+    c.setup = victimStream(times);
+    c.rounds = 3;
+    const auto r = expectRepeatMatchesLoop(c);
+    EXPECT_GT(r.closedForm, 0u);
+    EXPECT_GE(r.defense.rekeys, 10u);
+}
+
+TEST(RepeatBatch, ArmedWatchdogSweepsTheRepeatedLines)
+{
+    RepeatCase c;
+    c.cfg.defense.watchdog.enabled = true;
+    c.cfg.defense.watchdog.probePeriod = 20'000;
+    c.cfg.defense.watchdog.action = WatchdogAction::ReportOnly;
+    c.setup = [](RepeatRig &rig) { rig.m.armWatchdog(0, rig.set); };
+    c.rounds = 2;
+    const auto r = expectRepeatMatchesLoop(c);
+    EXPECT_GT(r.closedForm, 0u);
+    EXPECT_GE(r.defense.wdProbes, 10u * c.cfg.sf.ways);
+}
+
+TEST(RepeatBatch, MaxRepsCapsTheRun)
+{
+    RepeatCase c;
+    c.maxReps = 37;
+    c.span = kNeverCycles;
+    const auto r = expectRepeatMatchesLoop(c);
+    EXPECT_EQ(r.reps, 37u);
+    EXPECT_GT(r.closedForm, 0u);
+
+    // The Parallel monitor's prime: 12 overlapped store passes.
+    RepeatCase prime;
+    prime.spec = {BatchOp::Store, true, -1};
+    prime.maxReps = 12;
+    prime.span = kNeverCycles;
+    prime.rounds = 4;
+    EXPECT_EQ(expectRepeatMatchesLoop(prime).reps, 48u);
+}
+
+TEST(RepeatBatch, MaxDurationStopsAtTheDetection)
+{
+    RepeatCase c;
+    c.maxDuration = static_cast<Cycles>(c.cfg.timing.dram);
+    std::vector<Cycles> times;
+    for (Cycles t = 40'000; t < 1'000'000; t += 40'000)
+        times.push_back(t);
+    c.setup = victimStream(times);
+    c.span = 1'000'000;
+    c.rounds = 6;
+    const auto r = expectRepeatMatchesLoop(c);
+    EXPECT_GT(r.closedForm, 0u);
+    // Each round stopped at a detection, not at the deadline.
+    EXPECT_GE(r.stats.streamAccesses, 6u);
+    EXPECT_GE(r.stats.dramFills, 6u);
+
+    // A repetition exactly as long as max_duration does not stop.
+    RepeatCase ref;
+    const std::vector<Cycles> starts = undisturbedStarts(ref, 12);
+    RepeatCase equal;
+    equal.maxDuration = starts[11] - starts[10];
+    const auto e = expectRepeatMatchesLoop(equal);
+    EXPECT_GT(e.reps, 1000u);
+    EXPECT_GT(e.closedForm, 0u);
+}
+
+TEST(RepeatBatch, SequentialProbeLoadBatches)
+{
+    RepeatCase all;
+    all.spec = {BatchOp::ProbeLoad};
+    all.setup = victimStream({60'000, 90'000});
+    EXPECT_GT(expectRepeatMatchesLoop(all).closedForm, 0u);
+
+    RepeatCase one; // the Prime+Scope probe
+    one.spec = {BatchOp::ProbeLoad};
+    one.lines = [](const RepeatRig &rig) {
+        return std::vector<Addr>{rig.set.front()};
+    };
+    EXPECT_GT(expectRepeatMatchesLoop(one).closedForm, 0u);
+}
+
+TEST(RepeatBatch, HelperBatchRunsThePlainLoop)
+{
+    RepeatCase c;
+    c.spec = {BatchOp::Load, true, 1};
+    EXPECT_EQ(expectRepeatMatchesLoop(c).closedForm, 0u);
+}
+
+TEST(RepeatBatch, EmptyBatchIsFatal)
+{
+    Machine m(tinyTest(), silent(), 3);
+    EXPECT_DEATH(m.repeatBatch(0, {}, {BatchOp::Load, true, -1}, 10,
+                               kNeverCycles, kNeverCycles,
+                               [](Cycles) {}),
+                 "empty batch");
 }
 
 } // namespace
