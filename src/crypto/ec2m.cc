@@ -1,5 +1,7 @@
 #include "ec2m.hh"
 
+#include <algorithm>
+
 #include "common/log.hh"
 
 namespace llcf {
@@ -114,6 +116,69 @@ Sect571r1::mDouble(Gf571 &x, Gf571 &z) const
     x = x2.square() + b_ * z2.square();
 }
 
+LdPoint
+Sect571r1::toLd(const Ec2mPoint &p)
+{
+    if (p.infinity)
+        return LdPoint{};
+    return LdPoint{p.x, p.y, Gf571(1)};
+}
+
+Ec2mPoint
+Sect571r1::toAffine(const LdPoint &p)
+{
+    if (p.z.isZero())
+        return Ec2mPoint{};
+    const Gf571 zinv = p.z.inverse();
+    return Ec2mPoint::make(p.x * zinv, p.y * zinv.square());
+}
+
+void
+Sect571r1::ldDouble(LdPoint &p) const
+{
+    // Z3 = X^2 Z^2, X3 = X^4 + b Z^4,
+    // Y3 = b Z^4 Z3 + X3 (a Z3 + Y^2 + b Z^4) with a = 1.
+    if (p.z.isZero())
+        return;
+    const Gf571 x2 = p.x.square();
+    const Gf571 z2 = p.z.square();
+    const Gf571 bz4 = b_ * z2.square();
+    p.z = x2 * z2;
+    p.x = x2.square() + bz4;
+    p.y = bz4 * p.z + p.x * (p.z + p.y.square() + bz4);
+}
+
+void
+Sect571r1::ldAddMixed(LdPoint &p, const Ec2mPoint &q) const
+{
+    if (q.infinity)
+        return;
+    if (p.z.isZero()) {
+        p = toLd(q);
+        return;
+    }
+    // a = Z^2 (y_p + y_q), b = Z (x_p + x_q).
+    const Gf571 z2 = p.z.square();
+    const Gf571 a = p.y + q.y * z2;
+    const Gf571 b = p.x + q.x * p.z;
+    if (b.isZero()) {
+        // Same x: p = q (double q) or p = -q (infinity).
+        if (a.isZero()) {
+            p = toLd(q);
+            ldDouble(p);
+        } else {
+            p = LdPoint{};
+        }
+        return;
+    }
+    const Gf571 c = p.z * b;
+    const Gf571 e = a * c;
+    p.z = c.square();
+    p.x = a.square() + e + b.square() * (c + z2); // a = 1 term: + Z^2
+    const Gf571 f = p.x + q.x * p.z;
+    p.y = (e + p.z) * f + (q.x + q.y) * p.z.square();
+}
+
 namespace {
 
 /** López–Dahab projective x-only ladder state. */
@@ -124,15 +189,13 @@ struct LadderState
 };
 
 /**
- * The Montgomery ladder loop shared by ladderMulX and scalarMul
- * (OpenSSL 1.0.1e ec_GF2m_montgomery_point_multiply): one MAdd and
- * one MDouble per scalar bit below the leading one. On return m = k.
- * Appends each processed bit to @p bits when it is non-null.
+ * The Montgomery ladder loop of scalarMul (OpenSSL 1.0.1e
+ * ec_GF2m_montgomery_point_multiply): one MAdd and one MDouble per
+ * scalar bit below the leading one. On return m = k.
  * @pre !k.isZero(), !px.isZero()
  */
 LadderState
-runLadder(const Sect571r1 &curve, const BigUint &k, const Gf571 &px,
-          std::vector<std::uint8_t> *bits)
+runLadder(const Sect571r1 &curve, const BigUint &k, const Gf571 &px)
 {
     // (x1, z1) = P, (x2, z2) = 2P.
     LadderState st;
@@ -141,14 +204,8 @@ runLadder(const Sect571r1 &curve, const BigUint &k, const Gf571 &px,
     st.z2 = px.square();
     st.x2 = st.z2.square() + curve.b();
 
-    const unsigned nbits = k.bitLength();
-    if (bits)
-        bits->reserve(nbits - 1);
-    for (unsigned i = nbits - 1; i-- > 0;) {
-        const bool bit = k.bit(i);
-        if (bits)
-            bits->push_back(bit ? 1 : 0);
-        if (bit) {
+    for (unsigned i = k.bitLength() - 1; i-- > 0;) {
+        if (k.bit(i)) {
             curve.mAdd(st.x1, st.z1, st.x2, st.z2, px);
             curve.mDouble(st.x2, st.z2);
         } else {
@@ -159,29 +216,99 @@ runLadder(const Sect571r1 &curve, const BigUint &k, const Gf571 &px,
     return st;
 }
 
+constexpr unsigned kCombEntries = 1u << Sect571r1::kCombWidth;
+
+/**
+ * Build the comb table. The row bases B_j = 2^(j d) G come from one
+ * chain of López–Dahab doublings; entry a with top bit j is then
+ * entry (a - 2^j) + B_j, one mixed addition each. The points stay
+ * projective until a batched inversion (Montgomery's trick) turns
+ * every Z of a group into Z^-1 at the cost of one field inversion:
+ * once for the row bases, once for the entries.
+ */
+std::vector<Ec2mPoint>
+buildBaseTable(const Sect571r1 &curve)
+{
+    constexpr unsigned w = Sect571r1::kCombWidth;
+
+    // Row bases: projective chain, then affine via one batch.
+    std::vector<LdPoint> rows(w);
+    rows[0] = Sect571r1::toLd(curve.generator());
+    for (unsigned j = 1; j < w; ++j) {
+        rows[j] = rows[j - 1];
+        for (unsigned i = 0; i < Sect571r1::kCombColumns; ++i)
+            curve.ldDouble(rows[j]);
+    }
+    auto batchToAffine = [](const std::vector<LdPoint> &in) {
+        // prefix[i] = z_0 ... z_(i-1) over the finite points.
+        std::vector<Gf571> prefix(in.size());
+        Gf571 acc(1);
+        for (std::size_t i = 0; i < in.size(); ++i) {
+            prefix[i] = acc;
+            if (!in[i].z.isZero())
+                acc = acc * in[i].z;
+        }
+        // Walking down, inv = (z_0 ... z_i)^-1, so z_i^-1 is
+        // inv * prefix[i].
+        Gf571 inv = acc.inverse();
+        std::vector<Ec2mPoint> out(in.size());
+        for (std::size_t i = in.size(); i-- > 0;) {
+            if (in[i].z.isZero())
+                continue;
+            const Gf571 zinv = inv * prefix[i];
+            inv = inv * in[i].z;
+            out[i] = Ec2mPoint::make(in[i].x * zinv, in[i].y * zinv.square());
+        }
+        return out;
+    };
+    const std::vector<Ec2mPoint> base = batchToAffine(rows);
+
+    std::vector<LdPoint> entries(kCombEntries); // entry 0: infinity
+    for (unsigned a = 1; a < kCombEntries; ++a) {
+        unsigned j = 0;
+        while ((a >> (j + 1)) != 0)
+            ++j;
+        entries[a] = entries[a - (1u << j)];
+        curve.ldAddMixed(entries[a], base[j]);
+    }
+    return batchToAffine(entries);
+}
+
 } // namespace
 
-Sect571r1::LadderResult
-Sect571r1::ladderMulX(const BigUint &k, const Gf571 &px) const
+const std::vector<Ec2mPoint> &
+Sect571r1::baseTable() const
 {
-    LadderResult res;
-    if (k.isZero())
-        fatal("Montgomery ladder needs a non-zero scalar");
-    if (px.isZero()) {
-        // x = 0 is the 2-torsion point; k * P is handled trivially.
-        res.infinity = k.isEven();
-        res.x = Gf571();
-        return res;
-    }
+    static const std::vector<Ec2mPoint> table = buildBaseTable(*this);
+    return table;
+}
 
-    const LadderState st = runLadder(*this, k, px, &res.bits);
-    if (st.z1.isZero()) {
-        res.infinity = true;
-        return res;
+Ec2mPoint
+Sect571r1::mulBase(const BigUint &k) const
+{
+    constexpr unsigned w = kCombWidth;
+    constexpr unsigned d = kCombColumns;
+    static_assert(w * d <= 64 * Gf571::kWords);
+
+    // The scalar's bits as fixed words; k >= n is reduced first.
+    const std::vector<std::uint64_t> limbs =
+        k < n_ ? k.limbs() : (k % n_).limbs();
+    std::array<std::uint64_t, Gf571::kWords> bits{};
+    std::copy(limbs.begin(), limbs.end(), bits.begin());
+    auto bit = [&bits](unsigned i) {
+        return static_cast<unsigned>(bits[i / 64] >> (i % 64)) & 1u;
+    };
+
+    const std::vector<Ec2mPoint> &table = baseTable();
+    LdPoint q; // infinity
+    for (unsigned col = d; col-- > 0;) {
+        ldDouble(q);
+        unsigned idx = 0;
+        for (unsigned j = 0; j < w; ++j)
+            idx |= bit(j * d + col) << j;
+        ldAddMixed(q, table[idx]);
     }
-    res.infinity = false;
-    res.x = st.x1 * st.z1.inverse();
-    return res;
+    return toAffine(q);
 }
 
 Ec2mPoint
@@ -194,7 +321,7 @@ Sect571r1::scalarMul(const BigUint &k, const Ec2mPoint &p) const
         return k.isEven() ? Ec2mPoint{} : p;
     }
 
-    const LadderState st = runLadder(*this, k, p.x, nullptr);
+    const LadderState st = runLadder(*this, k, p.x);
     if (st.z1.isZero())
         return Ec2mPoint{}; // k P = infinity
     if (st.z2.isZero())

@@ -15,7 +15,7 @@ Ecdsa::generateKey()
     do {
         kp.d = BigUint::randomBelow(curve_.order(), rng_);
     } while (kp.d.isZero());
-    kp.q = curve_.scalarMul(kp.d, curve_.generator());
+    kp.q = curve_.mulBase(kp.d);
     return kp;
 }
 
@@ -44,11 +44,10 @@ Ecdsa::signWithTrace(const Sha256Digest &digest, const BigUint &d)
             k = BigUint::randomBelow(n, rng_);
         } while (k.isZero());
 
-        // The vulnerable code path: x-only Montgomery ladder.
-        auto ladder = curve_.ladderMulX(k, curve_.generator().x);
-        if (ladder.infinity)
+        const Ec2mPoint kg = curve_.mulBase(k);
+        if (kg.infinity)
             continue;
-        const BigUint r = ladder.x.toBigUint() % n;
+        const BigUint r = kg.x.toBigUint() % n;
         if (r.isZero())
             continue;
         const BigUint kinv = k.invMod(n);
@@ -57,9 +56,14 @@ Ecdsa::signWithTrace(const Sha256Digest &digest, const BigUint &d)
         if (s.isZero())
             continue;
 
+        // The bits the vulnerable ladder loop processes: k below its
+        // leading one, most significant first.
+        const unsigned nbits = k.bitLength();
+        rec.ladderBits.resize(nbits - 1);
+        for (unsigned i = 0; i + 1 < nbits; ++i)
+            rec.ladderBits[i] = k.bit(nbits - 2 - i) ? 1 : 0;
         rec.signature = EcdsaSignature{r, s};
         rec.nonce = k;
-        rec.ladderBits = std::move(ladder.bits);
         return rec;
     }
 }
@@ -77,13 +81,18 @@ Ecdsa::verify(const Sha256Digest &digest, const EcdsaSignature &sig,
     const BigUint &n = curve_.order();
     if (sig.r.isZero() || sig.s.isZero() || sig.r >= n || sig.s >= n)
         return false;
+    // Public-key validation: Q must be a finite curve point of order
+    // n. With Q at infinity, u2 * Q vanishes and any r = x(tG) mod n,
+    // s = z / t verifies; the cofactor is 2, so the 2-torsion point
+    // and points of order 2n lie on the curve but outside <G>.
+    if (q.infinity || !curve_.onCurve(q) || !curve_.scalarMul(n, q).infinity)
+        return false;
     const BigUint z = hashToInt(digest);
     const BigUint w = sig.s.invMod(n);
     const BigUint u1 = BigUint::mulMod(z, w, n);
     const BigUint u2 = BigUint::mulMod(sig.r, w, n);
     const Ec2mPoint p =
-        curve_.add(curve_.scalarMul(u1, curve_.generator()),
-                   curve_.scalarMul(u2, q));
+        curve_.add(curve_.mulBase(u1), curve_.scalarMul(u2, q));
     if (p.infinity)
         return false;
     return (p.x.toBigUint() % n) == sig.r;

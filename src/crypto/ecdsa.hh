@@ -1,10 +1,13 @@
 /**
  * @file
- * ECDSA over sect571r1 with the vulnerable Montgomery-ladder nonce
- * multiplication (paper Section 7.1).  Signing records the ladder's
- * per-iteration nonce bits so the victim model can replay the
- * secret-dependent access pattern and the experiments can validate
- * extracted bits against ground truth.
+ * ECDSA over sect571r1, the victim of paper Section 7.1 (OpenSSL
+ * 1.0.1e, whose nonce multiplication is a Montgomery ladder). Signing
+ * records the nonce bits that ladder's loop processes, one per
+ * iteration, so the victim model can replay the secret-dependent
+ * access pattern and the experiments can validate extracted bits
+ * against ground truth. The host computes k * G with the fixed-base
+ * comb (Sect571r1::mulBase); the simulated leak depends only on the
+ * recorded bits.
  */
 
 #ifndef LLCF_CRYPTO_ECDSA_HH
@@ -35,8 +38,10 @@ struct EcdsaSignature
 struct SigningRecord
 {
     EcdsaSignature signature;
-    BigUint nonce;                       //!< the ephemeral k
-    std::vector<std::uint8_t> ladderBits; //!< bits the ladder processed
+    BigUint nonce; //!< the ephemeral k
+    /** The bits OpenSSL 1.0.1e's ladder loop processes for the
+     *  nonce: those below its leading one, most significant first. */
+    std::vector<std::uint8_t> ladderBits;
 };
 
 /**
@@ -55,8 +60,8 @@ class Ecdsa
     BigUint hashToInt(const Sha256Digest &digest) const;
 
     /**
-     * Sign @p digest with private key @p d via the Montgomery-ladder
-     * nonce multiplication, recording the nonce and its ladder bits.
+     * Sign @p digest with private key @p d, recording the nonce and
+     * its ladder bits.
      */
     SigningRecord signWithTrace(const Sha256Digest &digest,
                                 const BigUint &d);
@@ -64,7 +69,11 @@ class Ecdsa
     /** Sign without the ground-truth record. */
     EcdsaSignature sign(const Sha256Digest &digest, const BigUint &d);
 
-    /** Standard ECDSA verification (two scalarMul, one affine add). */
+    /**
+     * Standard ECDSA verification, u1 G + u2 Q (mulBase, scalarMul,
+     * one affine add). Rejects a public key Q that is infinity, off
+     * the curve or outside the order-n subgroup (n Q != infinity).
+     */
     bool verify(const Sha256Digest &digest, const EcdsaSignature &sig,
                 const Ec2mPoint &q) const;
 

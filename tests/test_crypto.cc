@@ -3,10 +3,12 @@
  * Tests for the cryptographic substrate: BigUint arithmetic against
  * known values and algebraic properties, SHA-256 FIPS vectors,
  * GF(2^571) field axioms and the comb multiply against a bit-serial
- * reference, sect571r1 curve-group properties, the ladder-based
- * scalar multiplications against an affine double-and-add oracle
- * (random and edge scalars and points), and ECDSA sign/verify round
- * trips including nonce-bit ground truth.
+ * reference, sect571r1 curve-group properties, the López–Dahab
+ * doubling and mixed addition on their exceptional inputs, the
+ * ladder-based scalarMul and the fixed-base comb mulBase against an
+ * affine double-and-add oracle and an x-only ladder oracle (random
+ * and edge scalars and points), and ECDSA sign/verify round trips
+ * including nonce-bit ground truth and public-key validation.
  */
 
 #include <gtest/gtest.h>
@@ -373,6 +375,48 @@ affineScalarMul(const Sect571r1 &curve, const BigUint &k,
     return acc;
 }
 
+/** Result of the x-only Montgomery ladder oracle. */
+struct LadderResult
+{
+    bool infinity = true;
+    Gf571 x;
+    /** The scalar bits the ladder loop processed, in loop order
+     *  (MSB-1 downwards): the paper's per-iteration secret. */
+    std::vector<std::uint8_t> bits;
+};
+
+/**
+ * x-only López–Dahab Montgomery ladder computing x(k P) from x(P),
+ * as OpenSSL 1.0.1e's ec_GF2m_montgomery_point_multiply does: one
+ * mAdd and one mDouble per bit below k's leading one. The test oracle
+ * for the signing path's r and ladder bits.
+ * @pre !k.isZero(), !px.isZero()
+ */
+LadderResult
+ladderMulX(const Sect571r1 &curve, const BigUint &k, const Gf571 &px)
+{
+    // (x1, z1) = P, (x2, z2) = 2P.
+    Gf571 x1 = px, z1(1);
+    Gf571 z2 = px.square();
+    Gf571 x2 = z2.square() + curve.b();
+    LadderResult res;
+    for (unsigned i = k.bitLength() - 1; i-- > 0;) {
+        const bool bit = k.bit(i);
+        res.bits.push_back(bit ? 1 : 0);
+        if (bit) {
+            curve.mAdd(x1, z1, x2, z2, px);
+            curve.mDouble(x2, z2);
+        } else {
+            curve.mAdd(x2, z2, x1, z1, px);
+            curve.mDouble(x1, z1);
+        }
+    }
+    res.infinity = z1.isZero();
+    if (!res.infinity)
+        res.x = x1 * z1.inverse();
+    return res;
+}
+
 /** Same point (both infinity, or equal coordinates). */
 ::testing::AssertionResult
 samePoint(const Ec2mPoint &got, const Ec2mPoint &want)
@@ -499,7 +543,7 @@ TEST(Sect571r1, LadderMatchesDoubleAndAdd)
         BigUint k = BigUint::randomBelow(curve.order(), rng);
         if (k.isZero())
             continue;
-        auto ladder = curve.ladderMulX(k, curve.generator().x);
+        auto ladder = ladderMulX(curve, k, curve.generator().x);
         auto ref = affineScalarMul(curve, k, curve.generator());
         ASSERT_FALSE(ref.infinity);
         ASSERT_FALSE(ladder.infinity);
@@ -511,7 +555,7 @@ TEST(Sect571r1, LadderBitsMatchScalar)
 {
     const auto &curve = Sect571r1::instance();
     const BigUint k = BigUint::fromHex("5a5a5a5a5a5a5a5a5");
-    auto ladder = curve.ladderMulX(k, curve.generator().x);
+    auto ladder = ladderMulX(curve, k, curve.generator().x);
     ASSERT_EQ(ladder.bits.size(), k.bitLength() - 1);
     for (std::size_t i = 0; i < ladder.bits.size(); ++i) {
         const unsigned bit_index = k.bitLength() - 2 -
@@ -524,11 +568,180 @@ TEST(Sect571r1, LadderSmallScalars)
 {
     const auto &curve = Sect571r1::instance();
     for (std::uint64_t k : {1ull, 2ull, 3ull, 7ull, 100ull}) {
-        auto ladder = curve.ladderMulX(BigUint(k), curve.generator().x);
+        auto ladder = ladderMulX(curve, BigUint(k), curve.generator().x);
         auto ref = affineScalarMul(curve, BigUint(k), curve.generator());
         ASSERT_FALSE(ladder.infinity) << k;
         EXPECT_EQ(ladder.x, ref.x) << k;
     }
+}
+
+/**
+ * @p p in López–Dahab coordinates with Z = @p lambda instead of 1, so
+ * the helpers see a general projective representation.
+ */
+LdPoint
+scaledLd(const Ec2mPoint &p, const Gf571 &lambda)
+{
+    if (p.infinity)
+        return LdPoint{};
+    return LdPoint{p.x * lambda, p.y * lambda.square(), lambda};
+}
+
+TEST(Sect571r1, LdHelpersMatchAffineOnExceptionalInputs)
+{
+    // Every ordered pair of {G, -G, 2G, 3G, T, G + T, infinity}
+    // covers P = Q, P = -Q, either operand at infinity and the
+    // 2-torsion point T = (0, sqrt(b)), which is its own negative.
+    const auto &curve = Sect571r1::instance();
+    const Ec2mPoint g = curve.generator();
+    const Ec2mPoint ng = curve.negate(g);
+    const Ec2mPoint g2 = curve.dbl(g);
+    const Ec2mPoint g3 = curve.add(g2, g);
+    const Ec2mPoint t = twoTorsionPoint(curve);
+    const Ec2mPoint gt = curve.add(g, t);
+    const std::vector<Ec2mPoint> points = {g, ng, g2, g3, t, gt, {}};
+    const Gf571 lambda = Gf571::fromHex("1234567890abcdef0fedcba987654321");
+    for (std::size_t i = 0; i < points.size(); ++i) {
+        const Ec2mPoint &p = points[i];
+        LdPoint d = scaledLd(p, lambda);
+        curve.ldDouble(d);
+        EXPECT_TRUE(samePoint(Sect571r1::toAffine(d), curve.dbl(p)))
+            << "2P, point " << i;
+        EXPECT_TRUE(samePoint(Sect571r1::toAffine(Sect571r1::toLd(p)), p))
+            << "round trip, point " << i;
+        for (std::size_t j = 0; j < points.size(); ++j) {
+            const Ec2mPoint &q = points[j];
+            LdPoint sum = scaledLd(p, lambda);
+            curve.ldAddMixed(sum, q);
+            EXPECT_TRUE(samePoint(Sect571r1::toAffine(sum), curve.add(p, q)))
+                << "P + Q, points " << i << ", " << j;
+        }
+    }
+}
+
+TEST(Sect571r1, BaseTableEntriesAreTheCombMultiples)
+{
+    const auto &curve = Sect571r1::instance();
+    constexpr unsigned w = Sect571r1::kCombWidth;
+    constexpr unsigned d = Sect571r1::kCombColumns;
+    const std::vector<Ec2mPoint> &table = curve.baseTable();
+    ASSERT_EQ(table.size(), 1u << w);
+    EXPECT_EQ(&table, &curve.baseTable()); // built once, shared
+    EXPECT_TRUE(table[0].infinity);
+    for (std::size_t a = 1; a < table.size(); ++a) {
+        EXPECT_FALSE(table[a].infinity) << a;
+        EXPECT_TRUE(curve.onCurve(table[a])) << a;
+    }
+    // Entry a = sum_j a_j 2^(j d) G: the row bases and a few mixed
+    // entries against the ladder.
+    std::vector<unsigned> probes = {(1u << w) - 1, 0x5u, 0x3u};
+    for (unsigned j = 0; j < w; ++j)
+        probes.push_back(1u << j);
+    for (unsigned a : probes) {
+        BigUint k;
+        for (unsigned j = 0; j < w; ++j) {
+            if (a & (1u << j))
+                k = k + (BigUint(1) << (j * d));
+        }
+        EXPECT_TRUE(samePoint(table[a], curve.scalarMul(k, curve.generator())))
+            << "entry " << a;
+    }
+}
+
+TEST(Sect571r1, MulBaseMatchesLadderOnRandomScalars)
+{
+    const auto &curve = Sect571r1::instance();
+    const Ec2mPoint g = curve.generator();
+    Rng rng(109);
+    for (int i = 0; i < 100; ++i) {
+        const BigUint k = BigUint::randomBelow(curve.order(), rng);
+        EXPECT_TRUE(samePoint(curve.mulBase(k), curve.scalarMul(k, g)))
+            << "k=" << k.toHex();
+    }
+}
+
+TEST(Sect571r1, MulBaseMatchesAffineOracle)
+{
+    const auto &curve = Sect571r1::instance();
+    const Ec2mPoint g = curve.generator();
+    Rng rng(113);
+    std::vector<BigUint> scalars = {BigUint(7)};
+    for (int i = 0; i < 3; ++i)
+        scalars.push_back(BigUint::randomBelow(curve.order(), rng));
+    for (const BigUint &k : scalars) {
+        EXPECT_TRUE(samePoint(curve.mulBase(k), affineScalarMul(curve, k, g)))
+            << "k=" << k.toHex();
+    }
+}
+
+TEST(Sect571r1, MulBaseEdgeScalars)
+{
+    const auto &curve = Sect571r1::instance();
+    const BigUint &n = curve.order();
+    const Ec2mPoint g = curve.generator();
+    auto check = [&](const BigUint &k) {
+        EXPECT_TRUE(samePoint(curve.mulBase(k), curve.scalarMul(k, g)))
+            << "k=" << k.toHex();
+    };
+    for (std::uint64_t k : {0ull, 1ull, 2ull, 3ull})
+        check(BigUint(k));
+    check(BigUint(1) << 569);
+    check(n - BigUint(1));
+    check(n - BigUint(2));
+    // k >= n is reduced mod n: infinity, G, 3G, and a scalar wider
+    // than the comb's w * d bits.
+    check(n);
+    check(n + BigUint(1));
+    check(n + n + BigUint(3));
+    check((BigUint(1) << 600) + BigUint(5));
+    EXPECT_TRUE(curve.mulBase(BigUint()).infinity);
+    EXPECT_TRUE(curve.mulBase(n).infinity);
+    EXPECT_TRUE(samePoint(curve.mulBase(BigUint(1)), g));
+    EXPECT_TRUE(samePoint(curve.mulBase(n - BigUint(1)), curve.negate(g)));
+    EXPECT_TRUE(samePoint(curve.mulBase(n + BigUint(1)), g));
+}
+
+TEST(Sect571r1, MulBaseColumnsHitEveryTableIndex)
+{
+    // Scalars whose comb columns together take every table index:
+    // column c of a scalar holds index a when bit j of a is bit
+    // j * d + c of the scalar. An index is placed only where its top
+    // bit stays below bit 569, so every scalar is below n.
+    const auto &curve = Sect571r1::instance();
+    const Ec2mPoint g = curve.generator();
+    constexpr unsigned w = Sect571r1::kCombWidth;
+    constexpr unsigned d = Sect571r1::kCombColumns;
+    std::vector<BigUint> scalars(1);
+    std::vector<bool> hit(1u << w, false);
+    unsigned col = 0;
+    for (unsigned a = 0; a < (1u << w); ++a) {
+        unsigned top = 0;
+        while ((a >> (top + 1)) != 0)
+            ++top;
+        if (col == d || top * d + col >= 569) {
+            scalars.emplace_back();
+            col = 0;
+        }
+        BigUint &k = scalars.back();
+        for (unsigned j = 0; j < w; ++j) {
+            if (a & (1u << j))
+                k = k + (BigUint(1) << (j * d + col));
+        }
+        ++col;
+    }
+    for (const BigUint &k : scalars) {
+        ASSERT_LT(k, curve.order());
+        for (unsigned c = 0; c < d; ++c) {
+            unsigned idx = 0;
+            for (unsigned j = 0; j < w; ++j)
+                idx |= (k.bit(j * d + c) ? 1u : 0u) << j;
+            hit[idx] = true;
+        }
+        EXPECT_TRUE(samePoint(curve.mulBase(k), curve.scalarMul(k, g)))
+            << "k=" << k.toHex();
+    }
+    for (unsigned a = 0; a < (1u << w); ++a)
+        EXPECT_TRUE(hit[a]) << "index " << a << " never used";
 }
 
 // ---------------------------------------------------------------- ECDSA
@@ -591,6 +804,121 @@ TEST(Ecdsa, SigningRecordGroundTruthConsistent)
     auto ref = curve.scalarMul(rec.nonce, curve.generator());
     EXPECT_EQ(rec.signature.r,
               ref.x.toBigUint() % curve.order());
+}
+
+TEST(Ecdsa, SigningMatchesTheLadderOracle)
+{
+    // For the same nonce, the fixed-base signing path yields the r
+    // and the ladder bits the x-only Montgomery ladder produces.
+    const auto &curve = Sect571r1::instance();
+    Ecdsa ecdsa(Rng(127));
+    const auto kp = ecdsa.generateKey();
+    const auto digest = sha256(std::string("ladder oracle"));
+    for (int i = 0; i < 3; ++i) {
+        const SigningRecord rec = ecdsa.signWithTrace(digest, kp.d);
+        const LadderResult ladder =
+            ladderMulX(curve, rec.nonce, curve.generator().x);
+        ASSERT_FALSE(ladder.infinity);
+        EXPECT_EQ(rec.ladderBits, ladder.bits);
+        EXPECT_EQ(rec.signature.r, ladder.x.toBigUint() % curve.order());
+    }
+}
+
+TEST(Ecdsa, VerifyAcceptsAZeroDigest)
+{
+    // z = 0 makes u1 = 0, so verification adds mulBase(0) = infinity.
+    Ecdsa ecdsa(Rng(131));
+    const auto kp = ecdsa.generateKey();
+    const Sha256Digest zero{};
+    EXPECT_TRUE(ecdsa.hashToInt(zero).isZero());
+    EXPECT_TRUE(ecdsa.verify(zero, ecdsa.sign(zero, kp.d), kp.q));
+}
+
+/**
+ * A forgery that needs no private key: r = x(tG) mod n, s = z / t.
+ * Verification computes u1 G + u2 Q = tG + u2 Q, so it passes for
+ * any public key Q with u2 Q = infinity. Draws t until u2 = r / s is
+ * even (so u2 T = infinity for the 2-torsion point T too).
+ */
+EcdsaSignature
+forgeForVanishingKey(const Ecdsa &ecdsa, const Sha256Digest &digest,
+                     Rng &rng)
+{
+    const auto &curve = Sect571r1::instance();
+    const BigUint &n = curve.order();
+    const BigUint z = ecdsa.hashToInt(digest);
+    for (;;) {
+        const BigUint t = BigUint::randomBelow(n, rng);
+        if (t.isZero())
+            continue;
+        const BigUint r = curve.mulBase(t).x.toBigUint() % n;
+        const BigUint s = BigUint::mulMod(z, t.invMod(n), n);
+        if (r.isZero() || s.isZero())
+            continue;
+        if (BigUint::mulMod(r, s.invMod(n), n).isEven())
+            return {r, s};
+    }
+}
+
+TEST(Ecdsa, VerifyRejectsForgeryUnderInfinityKey)
+{
+    Ecdsa ecdsa(Rng(137));
+    Rng rng(139);
+    const auto digest = sha256(std::string("forged"));
+    const EcdsaSignature sig = forgeForVanishingKey(ecdsa, digest, rng);
+    EXPECT_FALSE(ecdsa.verify(digest, sig, Ec2mPoint{}));
+}
+
+TEST(Ecdsa, VerifyRejectsOffCurveKey)
+{
+    Ecdsa ecdsa(Rng(149));
+    const auto kp = ecdsa.generateKey();
+    const auto digest = sha256(std::string("msg"));
+    const auto sig = ecdsa.sign(digest, kp.d);
+    // (x, y + 1) keeps Q's x, so the x-only ladder still finds
+    // n Q = infinity: only the curve equation tells it apart.
+    const auto &curve = Sect571r1::instance();
+    const Ec2mPoint bad = Ec2mPoint::make(kp.q.x, kp.q.y + Gf571(1));
+    ASSERT_FALSE(curve.onCurve(bad));
+    ASSERT_TRUE(curve.scalarMul(curve.order(), bad).infinity);
+    EXPECT_FALSE(ecdsa.verify(digest, sig, bad));
+}
+
+TEST(Ecdsa, VerifyRejectsTwoTorsionKey)
+{
+    // T = (0, sqrt(b)) is on the curve but has order 2: with u2 even,
+    // u2 T = infinity and the key-free forgery would verify.
+    const auto &curve = Sect571r1::instance();
+    Ecdsa ecdsa(Rng(151));
+    Rng rng(157);
+    const Ec2mPoint t = twoTorsionPoint(curve);
+    ASSERT_TRUE(curve.onCurve(t));
+    const auto digest = sha256(std::string("forged"));
+    const EcdsaSignature sig = forgeForVanishingKey(ecdsa, digest, rng);
+    EXPECT_FALSE(ecdsa.verify(digest, sig, t));
+}
+
+TEST(Ecdsa, VerifyRejectsKeyOfOrderTwoN)
+{
+    // Q + T has order 2n. A genuine signature under Q whose u2 is
+    // even also satisfies u1 G + u2 (Q + T) = u1 G + u2 Q, so only the
+    // subgroup check rejects it.
+    const auto &curve = Sect571r1::instance();
+    const BigUint &n = curve.order();
+    Ecdsa ecdsa(Rng(163));
+    const auto kp = ecdsa.generateKey();
+    const Ec2mPoint bad = curve.add(kp.q, twoTorsionPoint(curve));
+    ASSERT_TRUE(curve.onCurve(bad));
+    for (int i = 0;; ++i) {
+        ASSERT_LT(i, 64) << "no signature with an even u2";
+        const auto digest = sha256("msg " + std::to_string(i));
+        const auto sig = ecdsa.sign(digest, kp.d);
+        if (!BigUint::mulMod(sig.r, sig.s.invMod(n), n).isEven())
+            continue;
+        ASSERT_TRUE(ecdsa.verify(digest, sig, kp.q));
+        EXPECT_FALSE(ecdsa.verify(digest, sig, bad));
+        break;
+    }
 }
 
 TEST(Ecdsa, NoncesDifferAcrossSignings)
