@@ -1,8 +1,12 @@
 #include "bench_common.hh"
 
+#include <cerrno>
+#include <cstdint>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 
+#include "common/options.hh"
 #include "harness/thread_pool.hh"
 
 namespace llcf {
@@ -21,25 +25,70 @@ printUsageAndExit(const char *prog, int code)
     std::exit(code);
 }
 
-/** "--flag=value" -> setenv(env, value); true if consumed. */
+/** A decimal uint64: digits only, no overflow. */
+bool
+parseDecimal(const std::string &text, std::uint64_t &out)
+{
+    if (text.empty() ||
+        text.find_first_not_of("0123456789") != std::string::npos)
+        return false;
+    errno = 0;
+    out = std::strtoull(text.c_str(), nullptr, 10);
+    return errno != ERANGE;
+}
+
+bool
+validSeed(const std::string &v)
+{
+    std::uint64_t seed;
+    return parseDecimal(v, seed);
+}
+
+bool
+validCount(const std::string &v)
+{
+    std::size_t n;
+    return parseCount(v, n);
+}
+
+bool
+validThreads(const std::string &v)
+{
+    std::size_t n;
+    return parseCount(v, n) && n <= std::numeric_limits<unsigned>::max();
+}
+
+/** "--flag=value" -> setenv(env, value); true if consumed.  Exits 2
+ *  on an empty value or one @p valid rejects. */
 bool
 consumeEnvFlag(const std::string &arg, const char *flag,
-               const char *env, const char *prog)
+               const char *env, const char *prog,
+               bool (*valid)(const std::string &) = nullptr)
 {
     const std::size_t n = std::strlen(flag);
-    if (arg.compare(0, n, flag) != 0)
+    if (arg.compare(0, n, flag) != 0 || arg.size() == n || arg[n] != '=')
         return false;
-    if (arg.size() == n || arg[n] != '=')
-        return false;
-    if (arg.size() == n + 1) {
-        std::fprintf(stderr, "%s: %s needs a value\n", prog, flag);
+    const std::string value = arg.substr(n + 1);
+    if (value.empty() || (valid && !valid(value))) {
+        std::fprintf(stderr, "%s: bad %s value '%s'\n", prog, flag,
+                     value.c_str());
         printUsageAndExit(prog, 2);
     }
-    setenv(env, arg.c_str() + n + 1, 1);
+    setenv(env, value.c_str(), 1);
     return true;
 }
 
 } // namespace
+
+bool
+parseCount(const std::string &text, std::size_t &out)
+{
+    std::uint64_t v;
+    if (!parseDecimal(text, v) || v == 0)
+        return false;
+    out = static_cast<std::size_t>(v);
+    return true;
+}
 
 std::vector<std::string>
 benchParseArgs(int argc, char **argv)
@@ -58,9 +107,11 @@ benchParseArgs(int argc, char **argv)
             setenv("LLCF_COUNTERS", "1", 1);
             continue;
         }
-        if (consumeEnvFlag(arg, "--seed", "LLCF_SEED", prog) ||
-            consumeEnvFlag(arg, "--trials", "LLCF_TRIALS", prog) ||
-            consumeEnvFlag(arg, "--threads", "LLCF_THREADS", prog) ||
+        if (consumeEnvFlag(arg, "--seed", "LLCF_SEED", prog, validSeed) ||
+            consumeEnvFlag(arg, "--trials", "LLCF_TRIALS", prog,
+                           validCount) ||
+            consumeEnvFlag(arg, "--threads", "LLCF_THREADS", prog,
+                           validThreads) ||
             consumeEnvFlag(arg, "--json-out", "LLCF_JSON_OUT", prog)) {
             continue;
         }

@@ -1,8 +1,7 @@
 /**
  * @file
- * Shared plumbing for the reproduction benchmarks.
+ * Shared plumbing for the bench binaries.
  *
- * Every bench binary regenerates one table or figure of the paper.
  * Times reported are *virtual* (simulated cycles at 2 GHz) — the
  * reproduction target is the shape of each result, not wall-clock.
  *
@@ -16,21 +15,25 @@
  *   --json-out=<p>   BENCH_*.json output path (LLCF_JSON_OUT)
  *   --full-scale     paper-scale machines     (LLCF_FULL_SCALE=1)
  *   --counters       record pc_* PerfCounter metrics (LLCF_COUNTERS=1)
+ *
+ * --seed takes any decimal uint64, --trials and --threads a positive
+ * decimal count (threads must fit in unsigned); anything else exits 2.
  */
 
 #ifndef LLCF_BENCH_BENCH_COMMON_HH
 #define LLCF_BENCH_BENCH_COMMON_HH
 
-#include <cstdio>
+#include <cstddef>
 #include <string>
 #include <vector>
 
-#include "common/options.hh"
-#include "common/stats.hh"
 #include "harness/experiment.hh"
-#include "scenario/scenario.hh"
 
 namespace llcf {
+
+/** A positive decimal count; false on anything else (sign, junk,
+ *  zero, overflow). */
+bool parseCount(const std::string &text, std::size_t &out);
 
 /**
  * Parse the shared bench flags out of argv, exporting recognised ones
@@ -82,72 +85,6 @@ double benchBaselineTolerance(const JsonValue &doc, const char *key,
 /** The "benchmarks" entry named @p name, or nullptr. */
 const JsonValue *benchBaselineEntry(const JsonValue &doc,
                                     const std::string &name);
-
-/** Slice count for bench machines (28 at full scale, 8 scaled). */
-inline unsigned
-benchSlices()
-{
-    return fullScale() ? 28u : 8u;
-}
-
-/** Environment index -> noise-profile name, matching the paper rows. */
-inline const char *
-benchNoiseName(int env)
-{
-    switch (env) {
-      case 0:
-        return "quiescent-local";
-      case 1:
-        return "cloud-run";
-      default:
-        return "cloud-run-3-5am";
-    }
-}
-
-/** Environment index -> short display label. */
-inline const char *
-benchProfileName(int env)
-{
-    switch (env) {
-      case 0:
-        return "local";
-      case 1:
-        return "cloud";
-      default:
-        return "cloud-3-5am";
-    }
-}
-
-/**
- * Anonymous Skylake-SP scenario spec for one bench environment —
- * the per-trial worlds benches build via ScenarioRig.
- */
-inline ScenarioSpec
-benchSpec(int env, unsigned slices, double evset_budget_ms)
-{
-    ScenarioSpec spec;
-    spec.machine = ScenarioMachine::SkylakeSp;
-    spec.slices = slices;
-    spec.noise = benchNoiseName(env);
-    spec.evsetBudgetMs = evset_budget_ms;
-    return spec;
-}
-
-/** Emit one formatted row to stdout (the "paper table" view). */
-inline void
-printRow(const char *label, const SuccessRate &sr,
-         const SampleStats &times)
-{
-    std::printf("  %-28s succ %5.1f%%  avg %10s  med %10s  "
-                "std %10s\n",
-                label, sr.rate() * 100.0,
-                times.empty() ? "-" : formatDuration(times.mean())
-                    .c_str(),
-                times.empty() ? "-" : formatDuration(times.median())
-                    .c_str(),
-                times.empty() ? "-" : formatDuration(times.stddev())
-                    .c_str());
-}
 
 } // namespace llcf
 

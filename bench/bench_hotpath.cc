@@ -45,8 +45,10 @@
 #include <cstring>
 #include <iterator>
 
+#include "common/options.hh"
 #include "harness/json.hh"
 #include "noise/profile.hh"
+#include "scenario/scenario.hh"
 #include "sim/configs.hh"
 
 namespace llcf {

@@ -1,10 +1,11 @@
 /**
- * The five registry suite benches as SuiteDomain data (see suite.hh):
+ * The six registry suite benches as SuiteDomain data (see suite.hh):
  * their --scenario= filters, smoke caps, gate bands and invariants,
  * --list/row labels, and bench_e2e's campaign runner.
  */
 
 #include <cstdio>
+#include <limits>
 
 #include "bench_common.hh"
 #include "campaign/campaign.hh"
@@ -281,6 +282,143 @@ makeTraffic()
     return d;
 }
 
+/** "paper-<item>-<key>": the cell names addPaperCells() registers. */
+std::string
+paperCell(const char *item, const std::string &key)
+{
+    return std::string("paper-") + item + "-" + key;
+}
+
+/**
+ * The paper's qualitative claims (DESIGN.md §14).  Each holds on the
+ * committed run and fails the gate when it flips; cross-cell claims
+ * compare two cells' values of one series.
+ */
+std::vector<SuiteInvariant>
+paperInvariants()
+{
+    const SuitePath build = {"metrics", "build_cycles", "mean"};
+    const SuitePath success = {"outcomes", "success", "rate"};
+    const SuitePath detect = {"metrics", "detection_rate", "mean"};
+    std::vector<SuiteInvariant> inv;
+
+    // Fig. 2: Cloud Run's tenants hit a set far more often.
+    inv.push_back({paperCell("fig2", "cloud"),
+                   {"metrics", "gap_cycles", "median"}, SuiteCmp::AtMost,
+                   0.1,
+                   "Cloud Run background accesses are no longer much "
+                   "denser than on a quiescent host",
+                   paperCell("fig2", "local")});
+
+    // Fig. 3: parallel TestEviction is over 10x faster at every size.
+    for (unsigned mult : {1u, 3u, 5u, 7u, 9u, 11u}) {
+        const std::string n = std::to_string(mult) + "u";
+        inv.push_back({paperCell("fig3", "parallel-" + n),
+                       {"metrics", "test_cycles", "mean"},
+                       SuiteCmp::AtMost, 0.1,
+                       "parallel TestEviction is no longer an order of "
+                       "magnitude faster than sequential",
+                       paperCell("fig3", "sequential-" + n)});
+    }
+
+    // Fig. 6: from a 2,000-cycle interval on, Parallel Probing detects
+    // nearly every access and the monitors keep the paper's order.
+    for (unsigned cyc : {2000u, 5000u, 7000u, 10000u, 50000u, 100000u}) {
+        const std::string at = std::to_string(cyc);
+        const std::string par = paperCell("fig6", "parallel-" + at);
+        const std::string flush = paperCell("fig6", "psflush-" + at);
+        const std::string alt = paperCell("fig6", "psalt-" + at);
+        inv.push_back({par, detect, SuiteCmp::AtLeast, 0.95,
+                       "Parallel Probing misses sender accesses"});
+        inv.push_back({par, detect, SuiteCmp::AtLeast, 1.0,
+                       "Parallel Probing detects less than PS-Flush",
+                       flush});
+        inv.push_back({flush, detect, SuiteCmp::AtLeast, 1.0,
+                       "PS-Flush detects less than PS-Alt", alt});
+    }
+
+    // Table 5 (the Fig. 6 cells at 10,000 cycles): Parallel primes
+    // fastest, and pays for it with the slowest probe.
+    const std::string par = paperCell("fig6", "parallel-10000");
+    const std::string flush = paperCell("fig6", "psflush-10000");
+    const std::string alt = paperCell("fig6", "psalt-10000");
+    const SuitePath prime = {"metrics", "prime_cycles", "mean"};
+    inv.push_back({flush, prime, SuiteCmp::Above, 1.0,
+                   "PS-Flush no longer primes slower than PS-Alt", alt});
+    inv.push_back({alt, prime, SuiteCmp::Above, 1.0,
+                   "PS-Alt no longer primes slower than Parallel", par});
+    inv.push_back({par, {"metrics", "probe_cycles", "mean"},
+                   SuiteCmp::Above, 1.0,
+                   "Parallel's probe is no longer slower than PS-Flush's",
+                   flush});
+
+    // Table 3: every raw pruner works on a quiescent host; under Cloud
+    // Run noise Prime+Scope pruning collapses while group testing
+    // holds up.
+    for (const char *algo : {"gt", "gtop", "ps", "psop"}) {
+        inv.push_back({paperCell("table3", std::string(algo) + "-local"),
+                       success, SuiteCmp::AtLeast, 0.9,
+                       "a raw pruner fails on a quiescent host"});
+    }
+    for (const char *env : {"-cloud", "-quiet"}) {
+        for (const char *weak : {"ps", "psop"}) {
+            for (const char *strong : {"gt", "gtop"}) {
+                inv.push_back(
+                    {paperCell("table3", weak + std::string(env)), success,
+                     SuiteCmp::AtMost, 0.5,
+                     "Prime+Scope pruning no longer collapses under "
+                     "Cloud Run noise relative to group testing",
+                     paperCell("table3", strong + std::string(env))});
+            }
+        }
+    }
+
+    // Table 4: with filtering BinS is fastest and GtOp beats Gt on
+    // bulk builds, Cloud Run is slower than local, and builds succeed.
+    for (const char *row : {"page-", "whole-"}) {
+        auto cell = [row](const char *algo, const char *env) {
+            return paperCell("table4", row + std::string(algo) + env);
+        };
+        for (const char *env : {"-local", "-cloud"}) {
+            inv.push_back({cell("bins", env), build, SuiteCmp::AtMost,
+                           1.0, "BinS is slower than GtOp",
+                           cell("gtop", env)});
+            inv.push_back({cell("gtop", env), build, SuiteCmp::Below, 1.0,
+                           "GtOp is no faster than Gt", cell("gt", env)});
+            inv.push_back({cell("bins", env), build, SuiteCmp::Below, 1.0,
+                           "BinS is no faster than PsBst",
+                           cell("psbst", env)});
+            for (const char *algo : {"gt", "gtop", "psbst", "bins"}) {
+                inv.push_back({cell(algo, env), success, SuiteCmp::AtLeast,
+                               0.9, "a filtered bulk build fails"});
+            }
+        }
+        for (const char *algo : {"gt", "gtop", "psbst", "bins"}) {
+            inv.push_back({cell(algo, "-cloud"), build, SuiteCmp::Above,
+                           1.0, "Cloud Run noise no longer slows the build",
+                           cell(algo, "-local")});
+        }
+    }
+    return inv;
+}
+
+SuiteDomain
+makePaper()
+{
+    SuiteDomain d = makeDomain(ScenarioSuite::Paper, "bench_paper",
+                               "paper", "Paper figures and tables");
+    d.accepts = [](const ScenarioSpec &s) { return !s.paperItem.empty(); };
+    d.acceptsWhat = "a paper cell";
+    // The default run is the CI size: --smoke caps nothing.
+    d.smokeTrials = std::numeric_limits<std::size_t>::max();
+    d.rateTolerance = kCellRateTolerance;
+    d.cyclesTolerance = kCyclesTolerance;
+    d.bands = stageBands();
+    d.invariants = paperInvariants();
+    d.label = calibLabel; // the cell name carries the swept knob
+    return d;
+}
+
 } // namespace
 
 const SuiteDomain &
@@ -296,6 +434,7 @@ suiteDomain(ScenarioSuite suite)
     static const SuiteDomain calib = makeCalib();
     static const SuiteDomain defense = makeDefense();
     static const SuiteDomain traffic = makeTraffic();
+    static const SuiteDomain paper = makePaper();
     switch (suite) {
       case ScenarioSuite::Matrix:
         return matrix;
@@ -309,6 +448,8 @@ suiteDomain(ScenarioSuite suite)
         return defense;
       case ScenarioSuite::Traffic:
         return traffic;
+      case ScenarioSuite::Paper:
+        return paper;
     }
     return matrix;
 }

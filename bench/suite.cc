@@ -1,7 +1,6 @@
 #include "suite.hh"
 
 #include <algorithm>
-#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 
@@ -19,22 +18,6 @@ flagValue(const std::string &arg, const char *flag, std::string &out)
     if (arg.compare(0, prefix.size(), prefix) != 0)
         return false;
     out = arg.substr(prefix.size());
-    return true;
-}
-
-/** A positive decimal count; false on anything else (sign, junk,
- *  zero, overflow). */
-bool
-parseCount(const std::string &text, std::size_t &out)
-{
-    if (text.empty() ||
-        text.find_first_not_of("0123456789") != std::string::npos)
-        return false;
-    errno = 0;
-    const unsigned long long v = std::strtoull(text.c_str(), nullptr, 10);
-    if (errno == ERANGE || v == 0)
-        return false;
-    out = static_cast<std::size_t>(v);
     return true;
 }
 
@@ -130,12 +113,18 @@ selectCells(const SuiteDomain &d, const SuiteArgs &args)
     return cells;
 }
 
-/** A stage's headline attack outcome. */
+/** A stage's headline attack outcome.  The measurement stages
+ *  (Background, TestEviction, Covert) record none, so their outcome
+ *  band sees the series absent on both sides. */
 const char *
 stageOutcome(ScenarioStage stage)
 {
     switch (stage) {
       case ScenarioStage::EvsetBuild:
+      case ScenarioStage::EvsetBulk:
+      case ScenarioStage::Background:
+      case ScenarioStage::TestEviction:
+      case ScenarioStage::Covert:
         return "success";
       case ScenarioStage::Scan:
       case ScenarioStage::EndToEnd:
@@ -162,6 +151,14 @@ stageCycles(ScenarioStage stage)
         return "total_cycles";
       case ScenarioStage::Calibrate:
         return "calib_cycles";
+      case ScenarioStage::Background:
+        return "gap_cycles";
+      case ScenarioStage::TestEviction:
+        return "test_cycles";
+      case ScenarioStage::Covert:
+        return "prime_cycles";
+      case ScenarioStage::EvsetBulk:
+        return "build_cycles";
     }
     return "build_cycles";
 }
@@ -185,15 +182,18 @@ printCellRow(const SuiteDomain &d, const ScenarioSpec &spec,
 {
     const SuccessRate *sr = r.outcome(stageOutcome(spec.stage));
     const SampleStats *cycles = r.metric(stageCycles(spec.stage));
-    std::printf("  %-32s %-34s succ %5.1f%%  cost %10s\n",
-                r.name().c_str(), d.label(spec).c_str(),
-                sr ? sr->rate() * 100.0 : 0.0,
+    char succ[16] = "    -";
+    if (sr)
+        std::snprintf(succ, sizeof(succ), "%5.1f%%", sr->rate() * 100.0);
+    std::printf("  %-32s %-34s succ %s  cost %10s\n",
+                r.name().c_str(), d.label(spec).c_str(), succ,
                 cycles && !cycles->empty()
                     ? formatDuration(cycles->mean()).c_str()
                     : "-");
 }
 
-/** Run every cell through runScenario() into one suite document. */
+/** Run every cell on one harness pool (runScenarios()) into one suite
+ *  document. */
 std::string
 runScenarioCells(const SuiteDomain &d,
                  const std::vector<const ScenarioSpec *> &cells,
@@ -201,11 +201,14 @@ runScenarioCells(const SuiteDomain &d,
 {
     ExperimentSuite suite(d.id);
     recordTolerances(d, suite);
-    for (const ScenarioSpec *spec : cells) {
-        ExperimentResult result = runScenario(
-            *spec, suiteTrials(d, *spec, smoke), 0, baseSeed());
-        printCellRow(d, *spec, result);
-        suite.add(std::move(result));
+    std::vector<std::size_t> trials;
+    for (const ScenarioSpec *spec : cells)
+        trials.push_back(suiteTrials(d, *spec, smoke));
+    std::vector<ExperimentResult> results =
+        runScenarios(cells, trials, 0, baseSeed());
+    for (std::size_t i = 0; i < cells.size(); ++i) {
+        printCellRow(d, *cells[i], results[i]);
+        suite.add(std::move(results[i]));
     }
     return suite.toJson();
 }
@@ -269,29 +272,49 @@ cmpName(SuiteCmp cmp)
     return "?";
 }
 
+/** The run's entry for @p cell, or nullptr. */
+const JsonValue *
+runEntry(const JsonValue &run, const std::string &cell)
+{
+    for (const JsonValue &entry : run.find("benchmarks")->items()) {
+        if (entryName(entry) == cell)
+            return &entry;
+    }
+    return nullptr;
+}
+
 unsigned
 gateInvariants(const SuiteDomain &d, const JsonValue &run)
 {
     unsigned violations = 0;
-    for (const JsonValue &entry : run.find("benchmarks")->items()) {
-        for (const SuiteInvariant &inv : d.invariants) {
-            if (entryName(entry) != inv.cell)
+    for (const SuiteInvariant &inv : d.invariants) {
+        const bool pair = !inv.other.empty();
+        const JsonValue *entry = runEntry(run, inv.cell);
+        const JsonValue *other = pair ? runEntry(run, inv.other) : entry;
+        if (!entry || !other)
+            continue; // a --scenario= subset without this claim's cells
+        const std::string series = joinPath(inv.series);
+        const JsonValue *v = numberAt(*entry, inv.series);
+        const JsonValue *w = numberAt(*other, inv.series);
+        if (!v || !w) {
+            std::fprintf(stderr, "FAIL %s: no %s series",
+                         (v ? inv.other : inv.cell).c_str(),
+                         series.c_str());
+        } else {
+            const double bound =
+                pair ? inv.bound * w->asNumber() : inv.bound;
+            if (holds(inv.cmp, v->asNumber(), bound))
                 continue;
-            const JsonValue *v = numberAt(entry, inv.series);
-            if (v && holds(inv.cmp, v->asNumber(), inv.bound))
-                continue;
-            if (v) {
-                std::fprintf(stderr, "FAIL %s: %s = %.4g, want %s %.4g",
-                             inv.cell, joinPath(inv.series).c_str(),
-                             v->asNumber(), cmpName(inv.cmp),
-                             inv.bound);
-            } else {
-                std::fprintf(stderr, "FAIL %s: no %s series", inv.cell,
-                             joinPath(inv.series).c_str());
+            std::fprintf(stderr, "FAIL %s: %s = %.4g, want %s %.4g",
+                         inv.cell.c_str(), series.c_str(), v->asNumber(),
+                         cmpName(inv.cmp), bound);
+            if (pair) {
+                std::fprintf(stderr, " (%g x %s)", inv.bound,
+                             inv.other.c_str());
             }
-            std::fprintf(stderr, " — %s\n", inv.why);
-            ++violations;
         }
+        std::fprintf(stderr, " — %s\n", inv.why);
+        ++violations;
     }
     return violations;
 }

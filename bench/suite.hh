@@ -1,7 +1,8 @@
 /**
  * @file
  * The shared driver of the registry suite benches: bench_matrix,
- * bench_e2e, bench_calib, bench_defense and bench_traffic.
+ * bench_e2e, bench_calib, bench_defense, bench_traffic and
+ * bench_paper.
  *
  * Each of those binaries is a thin main() handing its SuiteDomain to
  * runSuite().  A domain is data: which registry cells it owns (see
@@ -62,14 +63,21 @@ struct SuiteBand
 /** How an invariant's value must relate to its bound. */
 enum class SuiteCmp { Below, AtMost, AtLeast, Above };
 
-/** A property one cell must hold on every run, baseline or not. */
+/**
+ * A property a cell must hold on every run, baseline or not.  With a
+ * second cell, @p bound is a factor on that cell's value of the same
+ * series (cell's value cmp bound x other's value).  The invariant is
+ * checked when every cell it names is in the run; a missing series
+ * on either cell then fails.
+ */
 struct SuiteInvariant
 {
-    const char *cell; //!< registry cell name
-    SuitePath series; //!< must be present: a missing series fails
+    std::string cell; //!< registry cell name
+    SuitePath series;
     SuiteCmp cmp;
     double bound;
-    const char *why; //!< what a violation means, printed with it
+    const char *why;        //!< what a violation means, printed with it
+    std::string other = {}; //!< optional second cell
 };
 
 /** Parsed suite command line (shared and campaign-only flags). */

@@ -9,19 +9,16 @@
 #   scripts/bench_gates.sh --twin <scalar-build-dir> <simd-build-dir>
 #
 # With no gate names, every gate runs in order.  Gates:
-#   harness     bench_fig2 / bench_table4 / bench_table5 1-vs-8-thread
-#               byte identity (table5 is the only driver of all three
-#               monitors' prime/probe latency statistics)
 #   matrix      bench_matrix smoke: 1v8 identity, counters identity,
 #               bad-selection must-fail
 #   hotpath     bench_hotpath smoke vs BENCH_hotpath.json
 #   scalar-flip LLCF_SCALAR_TAGS=1 runs match the vectorized bytes
 #   resume      campaign interrupt/resume byte identity (fork path)
 #   fullscale   reduced fleet vs BENCH_fullscale.json bands
-#   e2e calib defense traffic
+#   e2e calib defense traffic paper
 #               one suite each (gate_suite): smoke vs BENCH_<suite>.json
-#               (bands + the suite's invariants), 1v8 identity,
-#               unknown-cell must-fail
+#               (bands + the suite's invariants; for paper, the paper's
+#               claims), 1v8 identity, unknown-cell must-fail
 #
 # --twin mode runs the cross-build byte-identity check instead: two
 # build trees of the same commit (scalar and SIMD tag-scan kernels)
@@ -65,27 +62,11 @@ build=$(cd "$1" && pwd)
 shift
 gates=("$@")
 if [ ${#gates[@]} -eq 0 ]; then
-    gates=(harness matrix hotpath scalar-flip e2e resume fullscale
+    gates=(paper matrix hotpath scalar-flip e2e resume fullscale
            calib defense traffic)
 fi
 
 cd "$build" || fail "cannot enter build dir $build"
-
-gate_harness() {
-    ./bench_fig2 --threads=1 --trials=2 --json-out=fig2_t1.json \
-        > /dev/null
-    ./bench_fig2 --threads=8 --trials=2 --json-out=fig2_t8.json \
-        > /dev/null
-    cmp fig2_t1.json fig2_t8.json
-    LLCF_WS_OFFSETS=2 ./bench_table4 --threads=1 --trials=1 \
-        --json-out=t4_t1.json > /dev/null
-    LLCF_WS_OFFSETS=2 ./bench_table4 --threads=8 --trials=1 \
-        --json-out=t4_t8.json > /dev/null
-    cmp t4_t1.json t4_t8.json
-    ./bench_table5 --threads=1 --json-out=t5_t1.json > /dev/null
-    ./bench_table5 --threads=8 --json-out=t5_t8.json > /dev/null
-    cmp t5_t1.json t5_t8.json
-}
 
 gate_matrix() {
     ./bench_matrix --list
@@ -187,13 +168,12 @@ for gate in "${gates[@]}"; do
     echo "== gate: $gate =="
     gate_start=$EPOCHREALTIME
     case "$gate" in
-      harness) gate_harness ;;
       matrix) gate_matrix ;;
       hotpath) gate_hotpath ;;
       scalar-flip) gate_scalar_flip ;;
       resume) gate_resume ;;
       fullscale) gate_fullscale ;;
-      e2e|calib|defense|traffic) gate_suite "$gate" ;;
+      e2e|calib|defense|traffic|paper) gate_suite "$gate" ;;
       *) fail "unknown gate '$gate'" ;;
     esac
     awk -v g="$gate" -v a="$gate_start" -v b="$EPOCHREALTIME" \

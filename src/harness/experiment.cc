@@ -1,8 +1,10 @@
 #include "experiment.hh"
 
+#include <algorithm>
 #include <cstdio>
 #include <utility>
 
+#include "common/log.hh"
 #include "common/options.hh"
 #include "harness/thread_pool.hh"
 
@@ -90,12 +92,55 @@ ExperimentRunner::run(const TrialFn &fn) const
                          Rng::forStream(cfg_.masterSeed, i)};
         fn(ctx, slots[i]);
     });
+    return merge(cfg_, threads, slots);
+}
 
+std::vector<ExperimentResult>
+ExperimentRunner::runAll(const std::vector<ExperimentConfig> &cfgs,
+                         const std::vector<TrialFn> &fns, unsigned threads)
+{
+    if (cfgs.size() != fns.size())
+        panic("runAll: %zu configs for %zu trial functions", cfgs.size(),
+              fns.size());
+    threads = resolveThreadCount(threads);
+
+    // Trial k of the whole batch is trial k - first[e] of experiment e.
+    std::vector<std::size_t> first;
+    std::vector<std::vector<TrialRecorder>> slots;
+    std::size_t total = 0;
+    for (const ExperimentConfig &cfg : cfgs) {
+        first.push_back(total);
+        slots.emplace_back(cfg.trials);
+        total += cfg.trials;
+    }
+
+    ThreadPool pool(threads);
+    pool.parallelFor(total, [&](std::size_t k) {
+        const std::size_t e = static_cast<std::size_t>(
+            std::upper_bound(first.begin(), first.end(), k) -
+            first.begin() - 1);
+        const std::size_t i = k - first[e];
+        const std::uint64_t seed = cfgs[e].masterSeed;
+        TrialContext ctx{i, streamSeed(seed, i),
+                         Rng::forStream(seed, i)};
+        fns[e](ctx, slots[e][i]);
+    });
+
+    std::vector<ExperimentResult> results;
+    for (std::size_t e = 0; e < cfgs.size(); ++e)
+        results.push_back(merge(cfgs[e], threads, slots[e]));
+    return results;
+}
+
+ExperimentResult
+ExperimentRunner::merge(const ExperimentConfig &cfg, unsigned threads,
+                        const std::vector<TrialRecorder> &slots)
+{
     ExperimentResult result;
-    result.name_ = cfg_.name;
-    result.trials_ = cfg_.trials;
+    result.name_ = cfg.name;
+    result.trials_ = cfg.trials;
     result.threadsUsed_ = threads;
-    result.masterSeed_ = cfg_.masterSeed;
+    result.masterSeed_ = cfg.masterSeed;
 
     // Merge in trial order: aggregate content and key order are then
     // functions of (seed, trials) alone, independent of scheduling.

@@ -158,7 +158,24 @@ class ExperimentRunner
      */
     ExperimentResult run(const TrialFn &fn) const;
 
+    /**
+     * Run several experiments' trials on one pool of @p threads
+     * workers (0: LLCF_THREADS or hardware concurrency), so an
+     * experiment with fewer trials than workers leaves the rest of the
+     * pool to the next.  Result i is identical to
+     * ExperimentRunner(cfgs[i]).run(fns[i]); the configs' own thread
+     * counts are ignored.
+     */
+    static std::vector<ExperimentResult> runAll(
+        const std::vector<ExperimentConfig> &cfgs,
+        const std::vector<TrialFn> &fns, unsigned threads = 0);
+
   private:
+    /** Fold per-trial recordings, in trial order, into one result. */
+    static ExperimentResult merge(const ExperimentConfig &cfg,
+                                  unsigned threads,
+                                  const std::vector<TrialRecorder> &slots);
+
     ExperimentConfig cfg_;
 };
 

@@ -1,6 +1,7 @@
 #include "thread_pool.hh"
 
 #include <atomic>
+#include <limits>
 #include <memory>
 
 #include "common/log.hh"
@@ -124,6 +125,9 @@ resolveThreadCount(unsigned requested)
     if (requested > 0)
         return requested;
     const std::uint64_t env = envU64("LLCF_THREADS", 0);
+    if (env > std::numeric_limits<unsigned>::max())
+        fatal("LLCF_THREADS=%llu does not fit a worker count",
+              static_cast<unsigned long long>(env));
     if (env > 0)
         return static_cast<unsigned>(env);
     const unsigned hw = std::thread::hardware_concurrency();

@@ -81,6 +81,8 @@ class ThreadPool
 /**
  * Worker count to use: @p requested if non-zero, else the LLCF_THREADS
  * environment override, else the hardware concurrency (min 1).
+ * Fatal on an LLCF_THREADS too large for unsigned, which would
+ * otherwise wrap.
  */
 unsigned resolveThreadCount(unsigned requested = 0);
 

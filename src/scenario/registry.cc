@@ -83,6 +83,148 @@ calibBase(const char *name, const char *description,
     return s;
 }
 
+/** A bench_paper cell on the paper's Skylake-SP host. */
+ScenarioSpec
+paperBase(const char *item, const std::string &key,
+          std::string description, ScenarioStage stage, unsigned slices,
+          const char *noise_key, double budget_ms, std::size_t trials)
+{
+    ScenarioSpec s;
+    s.name = std::string("paper-") + item + "-" + key;
+    s.description = std::move(description);
+    s.paperItem = item;
+    s.stage = stage;
+    s.machine = ScenarioMachine::SkylakeSp;
+    s.slices = slices;
+    s.noise = noiseFor(noise_key);
+    s.evsetBudgetMs = budget_ms;
+    s.defaultTrials = trials;
+    return s;
+}
+
+/**
+ * The paper's figures and tables, one cell per plotted point or table
+ * entry.  The claims each item supports are bench_paper's gate
+ * invariants (bench/domains.cc); DESIGN.md §14 lists them.
+ */
+void
+addPaperCells(ScenarioRegistry &reg)
+{
+    using St = ScenarioStage;
+    const std::string where = " on Cloud Run";
+
+    // Fig. 2: other tenants' accesses to one set, local vs Cloud Run.
+    for (const char *env : {"local", "cloud"}) {
+        reg.add(paperBase("fig2", env,
+                          std::string("Fig. 2: background access gaps "
+                                      "on one SF set, ") +
+                              noiseFor(env),
+                          St::Background, 4, env, 100.0, 2));
+    }
+
+    // Fig. 3: parallel vs sequential TestEviction from U to 11U.
+    for (bool parallel : {true, false}) {
+        const std::string impl = parallel ? "parallel" : "sequential";
+        for (unsigned mult : {1u, 3u, 5u, 7u, 9u, 11u}) {
+            const std::string n = std::to_string(mult) + "U";
+            ScenarioSpec s = paperBase(
+                "fig3", impl + "-" + std::to_string(mult) + "u",
+                "Fig. 3: " + impl + " TestEviction of " + n +
+                    " candidates" + where,
+                St::TestEviction, 8, "cloud", 1000.0, parallel ? 8 : 3);
+            s.candidateMultiple = mult;
+            s.parallelTest = parallel;
+            reg.add(std::move(s));
+        }
+    }
+
+    // Fig. 6: detection rate per monitor against the sender's access
+    // interval; the 10,000-cycle cells also carry Table 5's latencies.
+    const struct
+    {
+        MonitorKind kind;
+        const char *key;
+    } monitors[] = {{MonitorKind::Parallel, "parallel"},
+                    {MonitorKind::PsFlush, "psflush"},
+                    {MonitorKind::PsAlt, "psalt"}};
+    for (const auto &mon : monitors) {
+        for (Cycles interval :
+             {1000, 2000, 5000, 7000, 10000, 50000, 100000}) {
+            const std::string cyc = std::to_string(interval);
+            ScenarioSpec s = paperBase(
+                "fig6", std::string(mon.key) + "-" + cyc,
+                std::string("Fig. 6: ") + monitorKindName(mon.kind) +
+                    " detects a sender every " + cyc + " cycles" + where,
+                St::Covert, 4, "cloud", 100.0, 4);
+            s.monitor = mon.kind;
+            s.senderInterval = interval;
+            reg.add(std::move(s));
+        }
+    }
+
+    // Table 3: the raw pruning algorithms, without candidate filtering.
+    struct Algo
+    {
+        PruneAlgo algo;
+        const char *key;
+    };
+    const Algo raw[] = {{PruneAlgo::Gt, "gt"},
+                        {PruneAlgo::GtOp, "gtop"},
+                        {PruneAlgo::Ps, "ps"},
+                        {PruneAlgo::PsOp, "psop"}};
+    for (const char *env : {"local", "cloud", "quiet"}) {
+        for (const auto &a : raw) {
+            ScenarioSpec s = paperBase(
+                "table3", std::string(a.key) + "-" + env,
+                std::string("Table 3: unfiltered ") +
+                    pruneAlgoName(a.algo) + " SingleSet, " +
+                    noiseFor(env),
+                St::EvsetBuild, 8, env, 1000.0,
+                std::string(env) == "local" ? 10 : 6);
+            s.algo = a.algo;
+            s.useFilter = false;
+            reg.add(std::move(s));
+        }
+    }
+
+    // Table 4: construction with L2-driven filtering.  PsBst is PsOp:
+    // with filtering Ps and PsOp perform alike and the paper reports
+    // the faster.  WholeSys samples 2 of the 64 page offsets.
+    const Algo filtered[] = {{PruneAlgo::Gt, "gt"},
+                             {PruneAlgo::GtOp, "gtop"},
+                             {PruneAlgo::PsOp, "psbst"},
+                             {PruneAlgo::BinS, "bins"}};
+    const struct
+    {
+        const char *key;
+        const char *title;
+        ScenarioStage stage;
+        std::size_t trials;
+        unsigned offsets;
+    } rows[] = {{"single", "SingleSet", St::EvsetBuild, 8, 0},
+                {"page", "PageOffset", St::EvsetBulk, 1, 0},
+                {"whole", "WholeSys (2/64 offsets)", St::EvsetBulk, 1,
+                 2}};
+    for (const auto &row : rows) {
+        for (const char *env : {"local", "cloud"}) {
+            for (const auto &a : filtered) {
+                ScenarioSpec s = paperBase(
+                    "table4",
+                    std::string(row.key) + "-" + a.key + "-" + env,
+                    std::string("Table 4: ") + row.title + " " +
+                        (a.algo == PruneAlgo::PsOp
+                             ? "PsBst"
+                             : pruneAlgoName(a.algo)) +
+                        ", " + noiseFor(env),
+                    row.stage, 8, env, 100.0, row.trials);
+                s.algo = a.algo;
+                s.sampledOffsets = row.offsets;
+                reg.add(std::move(s));
+            }
+        }
+    }
+}
+
 ScenarioRegistry
 makeBuiltins()
 {
@@ -764,6 +906,7 @@ makeBuiltins()
         }
     }
 
+    addPaperCells(reg);
     return reg;
 }
 
@@ -843,6 +986,8 @@ ScenarioRegistry::owned(ScenarioSuite suite) const
 ScenarioSuite
 scenarioSuite(const ScenarioSpec &spec)
 {
+    if (!spec.paperItem.empty())
+        return ScenarioSuite::Paper;
     if (spec.defense.recordsMetrics())
         return ScenarioSuite::Defense;
     if (spec.trafficDomain())
@@ -853,9 +998,7 @@ scenarioSuite(const ScenarioSpec &spec)
                                   : ScenarioSuite::E2e;
       case ScenarioStage::Calibrate:
         return ScenarioSuite::Calib;
-      case ScenarioStage::EvsetBuild:
-      case ScenarioStage::Scan:
-      case ScenarioStage::EndToEnd:
+      default:
         break;
     }
     return ScenarioSuite::Matrix;

@@ -31,10 +31,12 @@ enum class ScenarioSuite
     Calib,     //!< bench_calib: Step-0 calibration cells
     Defense,   //!< bench_defense: cells deploying the defense axis
     Traffic,   //!< bench_traffic: cells setting the traffic axis
+    Paper,     //!< bench_paper: the paper's figures and tables
 };
 
 /**
- * The suite owning @p spec.  The axes take precedence over the stage:
+ * The suite owning @p spec.  A cell naming a paper item is
+ * bench_paper's.  Otherwise the axes take precedence over the stage:
  * a defended cell is bench_defense's and a traffic cell
  * bench_traffic's whatever stage it drives; otherwise campaigns go to
  * bench_e2e (its full-scale tier for fullScaleOnly fleets),

@@ -1,5 +1,8 @@
 #include "scenario.hh"
 
+#include <algorithm>
+
+#include "attack/covert.hh"
 #include "attack/e2e.hh"
 #include "campaign/campaign.hh"
 #include "common/log.hh"
@@ -245,6 +248,140 @@ runCalibrateTrial(const ScenarioSpec &spec, TrialContext &ctx,
     maybeRecordCounters(rig, rec);
 }
 
+/**
+ * Fig. 2: a Parallel Probing monitor on one SF set, built from ground
+ * truth, timestamps other tenants' accesses; records each gap between
+ * consecutive detections and the trial's detection rate.
+ */
+void
+runBackgroundTrial(const ScenarioSpec &spec, TrialContext &ctx,
+                   TrialRecorder &rec)
+{
+    // Detections kept per trial (the paper collects 1,000).
+    constexpr std::size_t kAccesses = 400;
+    ScenarioRig rig(spec, ctx.seed);
+    Machine &m = rig.machine;
+    const Addr target = rig.pool->at(5 + ctx.index, 44);
+    auto monitor = PrimeProbeMonitor::make(
+        MonitorKind::Parallel, *rig.session,
+        groundTruthEvictionSet(m, *rig.pool, target, m.config().sf.ways));
+    // Watch for as long as the profile needs to produce kAccesses
+    // background accesses, at most 400 ms.
+    const double rate = spec.noiseProfile().accessesPerSetPerMs;
+    const double window_ms =
+        rate > 0.0 ? std::min(400.0, kAccesses / rate) : 400.0;
+    const Cycles start = m.now();
+    auto detections = monitor->collectTrace(start + msToCycles(window_ms));
+    if (detections.size() > kAccesses)
+        detections.resize(kAccesses);
+    for (std::size_t i = 1; i < detections.size(); ++i) {
+        rec.metric("gap_cycles",
+                   static_cast<double>(detections[i] - detections[i - 1]));
+    }
+    rec.metric("accesses_per_ms",
+               static_cast<double>(detections.size()) /
+                   cyclesToMs(m.now() - start));
+    maybeRecordCounters(rig, rec);
+}
+
+/**
+ * Fig. 3: one TestEviction of candidateMultiple x U candidates, either
+ * the parallel implementation or a sequential pointer chase, plus the
+ * Section 4.3 estimate of other tenants' accesses to the set during it.
+ */
+void
+runTestEvictionTrial(const ScenarioSpec &spec, TrialContext &ctx,
+                     TrialRecorder &rec)
+{
+    ScenarioRig rig(spec, ctx.seed);
+    Machine &m = rig.machine;
+    const std::size_t n =
+        std::size_t{m.config().sf.uncertainty()} * spec.candidateMultiple;
+    auto cands = rig.pool->candidatesAt(13);
+    if (cands.size() <= n)
+        fatal("scenario '%s': candidate pool (%zu) smaller than the "
+              "test size %zu",
+              spec.name.c_str(), cands.size(), n);
+    const Addr ta = cands.back();
+    cands.pop_back();
+    cands.resize(n);
+
+    const Cycles start = m.now();
+    if (spec.parallelTest) {
+        rig.session->testEvictionLlcParallel(ta, cands, n);
+    } else {
+        m.clflush(0, ta);
+        m.loadShared(0, 1, ta);
+        for (Addr a : cands)
+            m.chaseLoad(0, a);
+        m.probeLoad(0, ta);
+    }
+    const Cycles elapsed = m.now() - start;
+    rec.metric("test_cycles", static_cast<double>(elapsed));
+    rec.metric("expected_bg_accesses",
+               cyclesToMs(elapsed) *
+                   spec.noiseProfile().accessesPerSetPerMs);
+    maybeRecordCounters(rig, rec);
+}
+
+/**
+ * Fig. 6 / Table 5: a sender on another core accesses one SF set every
+ * senderInterval cycles while the spec's monitor watches it; records
+ * the detection rate and the monitor's prime and probe latencies.
+ */
+void
+runCovertTrial(const ScenarioSpec &spec, TrialContext &ctx,
+               TrialRecorder &rec)
+{
+    ScenarioRig rig(spec, ctx.seed);
+    const unsigned w = rig.machine.config().sf.ways;
+    const Addr sender = rig.pool->at(23 + ctx.index, 31);
+    auto evset = groundTruthEvictionSet(rig.machine, *rig.pool, sender, w);
+    std::vector<Addr> alt;
+    if (spec.monitor == MonitorKind::PsAlt)
+        alt = groundTruthEvictionSet(rig.machine, *rig.pool, sender, w, w);
+    CovertParams params;
+    params.accessInterval = spec.senderInterval;
+    params.accesses = 400;
+    auto out = runCovertExperiment(*rig.session, spec.monitor,
+                                   std::move(evset), std::move(alt),
+                                   sender, params);
+    rec.metric("detection_rate", out.detectionRate);
+    for (double v : out.primeLatency.samples())
+        rec.metric("prime_cycles", v);
+    for (double v : out.probeLatency.samples())
+        rec.metric("probe_cycles", v);
+    maybeRecordCounters(rig, rec);
+}
+
+/**
+ * Table 4: bulk eviction-set construction, PageOffset (every SF set
+ * at one page offset) or WholeSys sampled at sampledOffsets offsets.
+ * Records one "success" outcome per SF set the build should cover.
+ */
+void
+runEvsetBulkTrial(const ScenarioSpec &spec, TrialContext &ctx,
+                  TrialRecorder &rec)
+{
+    ScenarioRig rig(spec, ctx.seed);
+    EvictionSetBuilder builder(*rig.session, spec.algo, spec.useFilter);
+    BulkOutcome out;
+    if (spec.sampledOffsets == 0) {
+        out = builder.buildAtLineIndex(
+            *rig.pool,
+            static_cast<unsigned>((7 * ctx.index + 1) % kLinesPerPage));
+    } else {
+        std::vector<unsigned> line_indices;
+        for (unsigned i = 0; i < spec.sampledOffsets; ++i)
+            line_indices.push_back(i * (kLinesPerPage / spec.sampledOffsets));
+        out = builder.buildWholeSystem(*rig.pool, line_indices);
+    }
+    for (unsigned i = 0; i < out.expectedSets; ++i)
+        rec.outcome("success", i < out.validSets);
+    rec.metric("build_cycles", static_cast<double>(out.elapsed));
+    maybeRecordCounters(rig, rec);
+}
+
 } // namespace
 
 TraceClassifier
@@ -275,6 +412,14 @@ scenarioStageName(ScenarioStage stage)
         return "campaign";
       case ScenarioStage::Calibrate:
         return "calibrate";
+      case ScenarioStage::Background:
+        return "background";
+      case ScenarioStage::TestEviction:
+        return "test-evict";
+      case ScenarioStage::Covert:
+        return "covert";
+      case ScenarioStage::EvsetBulk:
+        return "evset-bulk";
     }
     return "?";
 }
@@ -426,6 +571,18 @@ runScenarioTrial(const ScenarioSpec &spec, TrialContext &ctx,
       case ScenarioStage::Calibrate:
         runCalibrateTrial(spec, ctx, rec);
         return;
+      case ScenarioStage::Background:
+        runBackgroundTrial(spec, ctx, rec);
+        return;
+      case ScenarioStage::TestEviction:
+        runTestEvictionTrial(spec, ctx, rec);
+        return;
+      case ScenarioStage::Covert:
+        runCovertTrial(spec, ctx, rec);
+        return;
+      case ScenarioStage::EvsetBulk:
+        runEvsetBulkTrial(spec, ctx, rec);
+        return;
     }
     fatal("scenario '%s': unknown stage", spec.name.c_str());
 }
@@ -564,6 +721,27 @@ runScenario(const ScenarioSpec &spec, std::size_t trials,
     return runner.run([&spec](TrialContext &ctx, TrialRecorder &rec) {
         runScenarioTrial(spec, ctx, rec);
     });
+}
+
+std::vector<ExperimentResult>
+runScenarios(const std::vector<const ScenarioSpec *> &specs,
+             const std::vector<std::size_t> &trials, unsigned threads,
+             std::uint64_t masterSeed)
+{
+    std::vector<ExperimentConfig> cfgs;
+    std::vector<ExperimentRunner::TrialFn> fns;
+    for (std::size_t i = 0; i < specs.size(); ++i) {
+        const ScenarioSpec &spec = *specs[i];
+        ExperimentConfig cfg;
+        cfg.name = spec.name;
+        cfg.trials = trials[i] ? trials[i] : spec.defaultTrials;
+        cfg.masterSeed = masterSeed;
+        cfgs.push_back(std::move(cfg));
+        fns.push_back([&spec](TrialContext &ctx, TrialRecorder &rec) {
+            runScenarioTrial(spec, ctx, rec);
+        });
+    }
+    return ExperimentRunner::runAll(cfgs, fns, threads);
 }
 
 } // namespace llcf

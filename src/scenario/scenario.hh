@@ -24,6 +24,7 @@
 #include <string>
 #include <vector>
 
+#include "attack/monitor.hh"
 #include "attack/scanner.hh"
 #include "calib/prober.hh"
 #include "defense/defense.hh"
@@ -43,6 +44,14 @@ enum class ScenarioStage
                 //!< victim world per harness trial; see src/campaign/)
     Calibrate,  //!< Step 0 only: blind topology calibration, gated on
                 //!< per-field accuracy vs the oracle (see src/calib/)
+
+    // The paper's measurement experiments (bench_paper):
+    Background,   //!< Fig. 2: gaps between other tenants' accesses to
+                  //!< one SF set, seen by a Parallel Probing monitor
+    TestEviction, //!< Fig. 3: one parallel or sequential TestEviction
+    Covert,       //!< Fig. 6 / Table 5: a covert-channel sender against
+                  //!< one monitoring strategy
+    EvsetBulk,    //!< Table 4: PageOffset or sampled WholeSys bulk build
 };
 
 /** Human-readable stage name. */
@@ -166,6 +175,29 @@ struct ScenarioSpec
                rotateKeys > 0 || adaptiveScan;
     }
 
+    // ------------------------------------ paper experiments
+    // Cells reproducing one of the paper's figures or tables.  Each
+    // knob below is read by exactly one stage body.
+
+    /** The figure or table a cell reproduces ("fig2" ... "table4");
+     *  non-empty makes the cell bench_paper's (scenarioSuite()). */
+    std::string paperItem;
+
+    /** Covert: the receiver's monitoring strategy and the sender's
+     *  access period. */
+    MonitorKind monitor = MonitorKind::Parallel;
+    Cycles senderInterval = 10000;
+
+    /** TestEviction: candidates = candidateMultiple x U, traversed in
+     *  parallel or as a sequential pointer chase. */
+    unsigned candidateMultiple = 1;
+    bool parallelTest = true;
+
+    /** EvsetBulk: 0 builds every SF set at one page offset per trial
+     *  (PageOffset); n > 0 builds every set at n evenly spaced of the
+     *  64 offsets (WholeSys, sampled). */
+    unsigned sampledOffsets = 0;
+
     // ------------------------------------ Step 0 (Stage::Calibrate
     // scenarios, and any stage with blindTopology set)
 
@@ -242,6 +274,11 @@ struct ScenarioRig
  *    metrics "build_cycles", "scan_cycles", "sets_scanned"
  *  - EndToEnd: the scan outcomes plus metrics "extract_cycles",
  *    "total_cycles", "recovered_fraction", "bit_error_rate"
+ *  - Background: metrics "gap_cycles" (one per gap), "accesses_per_ms"
+ *  - TestEviction: metrics "test_cycles", "expected_bg_accesses"
+ *  - Covert: metrics "detection_rate", "prime_cycles", "probe_cycles"
+ *  - EvsetBulk: outcome "success" (one per expected set); metric
+ *    "build_cycles"
  *
  * Uses only @p ctx state — never ambient randomness — so the harness
  * determinism contract holds.
@@ -259,6 +296,17 @@ void runScenarioTrial(const ScenarioSpec &spec, TrialContext &ctx,
 ExperimentResult runScenario(const ScenarioSpec &spec,
                              std::size_t trials = 0, unsigned threads = 0,
                              std::uint64_t masterSeed = 42);
+
+/**
+ * Run several specs on one harness pool (ExperimentRunner::runAll):
+ * result i is identical to runScenario(*specs[i], trials[i], threads,
+ * masterSeed), but cells with fewer trials than workers run side by
+ * side.
+ */
+std::vector<ExperimentResult> runScenarios(
+    const std::vector<const ScenarioSpec *> &specs,
+    const std::vector<std::size_t> &trials, unsigned threads,
+    std::uint64_t masterSeed);
 
 /**
  * Train the PSD trace classifier the way the paper does — offline,

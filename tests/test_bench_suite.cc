@@ -3,19 +3,26 @@
  * The shared suite driver of the registry benches (bench/suite.hh):
  * every gate band trips outside its band and on one-sided absence,
  * every invariant trips on a violating value and on a missing series,
- * cell ownership partitions the registry, and each committed
- * BENCH_*.json names exactly the cells its suite runs by default.
+ * cell ownership partitions the registry, each invariant names cells
+ * its own suite owns, each committed BENCH_*.json names exactly the
+ * cells its suite runs by default, and the shared CLI rejects counts
+ * that would wrap.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <cstdlib>
 #include <fstream>
-#include <iterator>
 #include <optional>
 #include <string>
 #include <vector>
 
+#include "bench_common.hh"
+#include "common/options.hh"
 #include "harness/json.hh"
+#include "harness/thread_pool.hh"
 #include "scenario/registry.hh"
 #include "suite.hh"
 
@@ -27,12 +34,13 @@ const std::string kRepoRoot = LLCF_REPO_ROOT;
 constexpr ScenarioSuite kAllSuites[] = {
     ScenarioSuite::Matrix,  ScenarioSuite::E2e,
     ScenarioSuite::FullScale, ScenarioSuite::Calib,
-    ScenarioSuite::Defense, ScenarioSuite::Traffic};
+    ScenarioSuite::Defense, ScenarioSuite::Traffic,
+    ScenarioSuite::Paper};
 
 /** The suites gated against a committed baseline at the repo root. */
 constexpr ScenarioSuite kGatedSuites[] = {
     ScenarioSuite::Calib, ScenarioSuite::Defense, ScenarioSuite::Traffic,
-    ScenarioSuite::E2e, ScenarioSuite::FullScale};
+    ScenarioSuite::E2e, ScenarioSuite::FullScale, ScenarioSuite::Paper};
 
 std::string
 baselinePath(const SuiteDomain &d)
@@ -162,6 +170,32 @@ edited(const JsonValue &doc, const Edit &edit)
     return out;
 }
 
+/** @p doc without @p cell's entry, as a --scenario= subset run. */
+JsonValue
+withoutCell(const JsonValue &doc, const std::string &cell)
+{
+    JsonWriter w;
+    w.beginObject();
+    for (const auto &[key, member] : doc.members()) {
+        w.key(key);
+        if (key != "benchmarks") {
+            copyValue(w, member, nullptr, 0);
+            continue;
+        }
+        w.beginArray();
+        for (const JsonValue &e : member.items()) {
+            if (e.find("name")->asString() != cell)
+                copyValue(w, e, nullptr, 1);
+        }
+        w.endArray();
+    }
+    w.endObject();
+    JsonValue out;
+    std::string err;
+    EXPECT_TRUE(parseJson(w.str(), out, &err)) << err;
+    return out;
+}
+
 /** Write @p doc as a baseline file and return its path. */
 std::string
 writeBaseline(const JsonValue &doc, const std::string &name)
@@ -266,6 +300,33 @@ TEST(SuiteOwnership, SmokeCaps)
     EXPECT_EQ(suiteTrials(suiteDomain(ScenarioSuite::Calib), *calib,
                           true),
               2u);
+    // The paper suite's default run is its CI run.
+    for (const ScenarioSpec *s :
+         builtinScenarios().owned(ScenarioSuite::Paper)) {
+        EXPECT_EQ(suiteTrials(suiteDomain(ScenarioSuite::Paper), *s, true),
+                  s->defaultTrials)
+            << s->name;
+    }
+}
+
+TEST(SuiteOwnership, EveryInvariantNamesCellsItsSuiteOwns)
+{
+    // gateInvariants skips a claim whose cells are absent from the
+    // run, so a misspelt or renamed cell would drop it silently.
+    for (ScenarioSuite suite : kAllSuites) {
+        const SuiteDomain &d = suiteDomain(suite);
+        for (const SuiteInvariant &inv : d.invariants) {
+            std::vector<std::string> cells = {inv.cell};
+            if (!inv.other.empty())
+                cells.push_back(inv.other);
+            for (const std::string &cell : cells) {
+                const ScenarioSpec *spec = builtinScenarios().find(cell);
+                ASSERT_NE(spec, nullptr) << d.id << ": '" << cell << "'";
+                EXPECT_EQ(scenarioSuite(*spec), suite)
+                    << d.id << ": " << cell;
+            }
+        }
+    }
 }
 
 // ---------------------------------------------------------- gates
@@ -297,7 +358,7 @@ TEST(SuiteGate, EveryBandTripsOutsideAndHoldsInside)
     for (ScenarioSuite suite : {ScenarioSuite::Calib,
                                 ScenarioSuite::Defense,
                                 ScenarioSuite::Traffic,
-                                ScenarioSuite::E2e}) {
+                                ScenarioSuite::E2e, ScenarioSuite::Paper}) {
         // Bands alone: an edited series must not trip an invariant.
         SuiteDomain d = suiteDomain(suite);
         d.invariants.clear();
@@ -369,60 +430,127 @@ TEST(SuiteGate, BandKindsAndAbsenceRulesPerSuite)
     EXPECT_EQ(rules(ScenarioSuite::FullScale), e2e);
     EXPECT_EQ(rules(ScenarioSuite::Defense), stage);
     EXPECT_EQ(rules(ScenarioSuite::Traffic), stage);
+    EXPECT_EQ(rules(ScenarioSuite::Paper), stage);
     EXPECT_TRUE(rules(ScenarioSuite::Matrix).empty());
 }
 
 TEST(SuiteGate, EveryInvariantTripsOnViolationAndMissingSeries)
 {
-    // Each invariant at its boundary: the first value violates it,
-    // the second just holds.
-    const struct
-    {
-        ScenarioSuite suite;
-        Edit violating;
-        double holding;
-    } cases[] = {
-        {ScenarioSuite::Defense,
-         {"defense-rekey-fast-tiny-build", {"outcomes", "success", "rate"},
-          0.10},
-         0.09},
-        {ScenarioSuite::Defense,
-         {"defense-none-tiny-e2e", {"outcomes", "target_correct", "rate"},
-          0.49},
-         0.50},
-        {ScenarioSuite::Traffic,
-         {"traffic-aes-tiny-e2e", {"metrics", "aes_nibbles_correct", "mean"},
-          0.99},
-         1.0},
-        {ScenarioSuite::Traffic,
-         {"traffic-sparse-tiny-scan", {"outcomes", "target_found", "rate"},
-          0.51},
-         0.50},
-        {ScenarioSuite::Traffic,
-         {"traffic-rotate-tiny-campaign-2",
-          {"metrics", "traffic_epochs", "mean"}, 1.0},
-         1.01},
-    };
-    std::size_t invariants = 0;
-    for (ScenarioSuite suite : kAllSuites)
-        invariants += suiteDomain(suite).invariants.size();
-    EXPECT_EQ(invariants, std::size(cases));
-
-    for (const auto &c : cases) {
-        const SuiteDomain &d = suiteDomain(c.suite);
-        const Edit &bad = c.violating;
-        SCOPED_TRACE(bad.cell);
-        const JsonValue run = loadBaseline(d);
-        EXPECT_EQ(gateSuite(d, run, ""), 0u);
-        EXPECT_EQ(gateSuite(d, edited(run, bad), ""), 1u);
-        EXPECT_EQ(gateSuite(d, edited(run, {bad.cell, bad.path, c.holding}),
-                            ""),
-                  0u);
-        EXPECT_EQ(gateSuite(d, edited(run, {bad.cell, bad.path,
-                                            std::nullopt}),
-                            ""),
-                  1u);
+    // Each invariant alone, on its suite's committed run: a value just
+    // past its bound trips it, the bound itself (or just inside a
+    // strict one) holds, and a missing series on either cell trips it.
+    std::size_t checked = 0;
+    for (ScenarioSuite suite : kAllSuites) {
+        const SuiteDomain &full = suiteDomain(suite);
+        if (full.invariants.empty())
+            continue;
+        const JsonValue run = loadBaseline(full);
+        for (const SuiteInvariant &inv : full.invariants) {
+            SCOPED_TRACE(inv.cell + " " + joinedPath(inv.series) + " " +
+                         inv.other);
+            SuiteDomain d = full;
+            d.invariants = {inv};
+            ASSERT_EQ(gateSuite(d, run, ""), 0u);
+            double bound = inv.bound;
+            if (!inv.other.empty())
+                bound *= numberAt(run, inv.other, inv.series)->asNumber();
+            const double eps = std::max(std::fabs(bound), 1.0) * 1e-6;
+            double bad = bound, ok = bound;
+            switch (inv.cmp) {
+              case SuiteCmp::Below:
+                ok = bound - eps;
+                break;
+              case SuiteCmp::AtMost:
+                bad = bound + eps;
+                break;
+              case SuiteCmp::AtLeast:
+                bad = bound - eps;
+                break;
+              case SuiteCmp::Above:
+                ok = bound + eps;
+                break;
+            }
+            const JsonValue violating =
+                edited(run, {inv.cell, inv.series, bad});
+            EXPECT_EQ(gateSuite(d, violating, ""), 1u);
+            EXPECT_EQ(gateSuite(d, edited(run, {inv.cell, inv.series, ok}),
+                                ""),
+                      0u);
+            EXPECT_EQ(gateSuite(d,
+                                edited(run, {inv.cell, inv.series,
+                                             std::nullopt}),
+                                ""),
+                      1u);
+            if (!inv.other.empty()) {
+                EXPECT_EQ(gateSuite(d,
+                                    edited(run, {inv.other, inv.series,
+                                                 std::nullopt}),
+                                    ""),
+                          1u);
+                // A subset run without either cell skips the claim.
+                EXPECT_EQ(gateSuite(d, withoutCell(violating, inv.other),
+                                    ""),
+                          0u);
+            }
+            EXPECT_EQ(gateSuite(d, withoutCell(violating, inv.cell), ""),
+                      0u);
+            ++checked;
+        }
     }
+    EXPECT_GT(checked, 5u);
+}
+
+// ----------------------------------------------------- shared CLI
+
+/** benchParseArgs over {"bench", @p args...}. */
+std::vector<std::string>
+parseArgs(std::vector<std::string> args)
+{
+    args.insert(args.begin(), "bench");
+    std::vector<char *> argv;
+    for (std::string &a : args)
+        argv.push_back(a.data());
+    return benchParseArgs(static_cast<int>(argv.size()), argv.data());
+}
+
+TEST(BenchCli, MalformedCountsAndSeedsExit2)
+{
+    // Unchecked, -1 would wrap to a 4294967295-worker pool, 2^32 to
+    // zero workers, and junk would silently run the defaults.
+    for (const char *arg :
+         {"--threads=-1", "--threads=4294967296", "--threads=0",
+          "--threads=abc", "--threads=8x", "--trials=abc", "--trials=0",
+          "--trials=-3", "--seed=abc", "--seed=-1", "--seed=0x10",
+          "--seed=18446744073709551616", "--seed="}) {
+        EXPECT_EXIT(parseArgs({arg}), ::testing::ExitedWithCode(2), "")
+            << arg;
+    }
+}
+
+TEST(BenchCli, WellFormedValuesReachTheEnvironment)
+{
+    const std::vector<std::string> extra = parseArgs(
+        {"--seed=0", "--trials=3", "--threads=4294967295", "--list"});
+    EXPECT_EQ(extra, std::vector<std::string>{"--list"});
+    EXPECT_EQ(envString("LLCF_SEED", ""), "0");
+    EXPECT_EQ(envString("LLCF_TRIALS", ""), "3");
+    EXPECT_EQ(envString("LLCF_THREADS", ""), "4294967295");
+    for (const char *env : {"LLCF_SEED", "LLCF_TRIALS", "LLCF_THREADS"})
+        unsetenv(env);
+}
+
+TEST(BenchCli, ResolveThreadCountRejectsAWrappingEnvironment)
+{
+    for (const char *value : {"4294967296", "-1"}) {
+        EXPECT_EXIT(
+            {
+                setenv("LLCF_THREADS", value, 1);
+                (void)resolveThreadCount();
+            },
+            ::testing::ExitedWithCode(1), "LLCF_THREADS")
+            << value;
+    }
+    EXPECT_EQ(resolveThreadCount(3), 3u);
 }
 
 } // namespace

@@ -47,9 +47,8 @@ TEST(Registry, BuiltinsSpanTheMatrix)
     EXPECT_EQ(repls.size(), 4u);
     // At least two noise regimes.
     EXPECT_GE(noises.size(), 2u);
-    // Every pipeline stage (campaigns since PR 4, Step-0 blind
-    // calibration since PR 5).
-    EXPECT_EQ(stages.size(), 5u);
+    // Every pipeline stage, plus the paper's measurement stages.
+    EXPECT_EQ(stages.size(), 9u);
     EXPECT_TRUE(stages.count(ScenarioStage::Campaign));
     EXPECT_TRUE(stages.count(ScenarioStage::Calibrate));
 }
