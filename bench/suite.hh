@@ -131,7 +131,8 @@ struct SuiteDomain
     /** Domain columns for --list and stdout rows. */
     std::string (*label)(const ScenarioSpec &) = nullptr;
 
-    /** Null: each cell runs through runScenario(). */
+    /** Null: the cells run on one harness pool through
+     *  runScenarios(). */
     SuiteRunner runner = nullptr;
 
     /** The domain a --full-scale run switches to (null: stay). */

@@ -1,6 +1,7 @@
 #include "experiment.hh"
 
 #include <algorithm>
+#include <atomic>
 #include <cstdio>
 #include <utility>
 
@@ -81,18 +82,7 @@ ExperimentRunner::ExperimentRunner(ExperimentConfig cfg)
 ExperimentResult
 ExperimentRunner::run(const TrialFn &fn) const
 {
-    const unsigned threads = resolveThreadCount(cfg_.threads);
-
-    // One slot per trial; workers never touch shared aggregates.
-    std::vector<TrialRecorder> slots(cfg_.trials);
-
-    ThreadPool pool(threads);
-    pool.parallelFor(cfg_.trials, [&](std::size_t i) {
-        TrialContext ctx{i, streamSeed(cfg_.masterSeed, i),
-                         Rng::forStream(cfg_.masterSeed, i)};
-        fn(ctx, slots[i]);
-    });
-    return merge(cfg_, threads, slots);
+    return runAll({cfg_}, {fn}, cfg_.threads).front();
 }
 
 std::vector<ExperimentResult>
@@ -105,13 +95,21 @@ ExperimentRunner::runAll(const std::vector<ExperimentConfig> &cfgs,
     threads = resolveThreadCount(threads);
 
     // Trial k of the whole batch is trial k - first[e] of experiment e.
+    // One slot per trial; workers never touch shared aggregates.  The
+    // worker finishing an experiment's last trial merges its slots and
+    // frees them, so only the experiments in flight hold samples.
     std::vector<std::size_t> first;
     std::vector<std::vector<TrialRecorder>> slots;
+    std::vector<std::atomic<std::size_t>> pending(cfgs.size());
+    std::vector<ExperimentResult> results(cfgs.size());
     std::size_t total = 0;
-    for (const ExperimentConfig &cfg : cfgs) {
+    for (std::size_t e = 0; e < cfgs.size(); ++e) {
         first.push_back(total);
-        slots.emplace_back(cfg.trials);
-        total += cfg.trials;
+        slots.emplace_back(cfgs[e].trials);
+        pending[e].store(cfgs[e].trials, std::memory_order_relaxed);
+        if (cfgs[e].trials == 0)
+            results[e] = merge(cfgs[e], threads, slots[e]);
+        total += cfgs[e].trials;
     }
 
     ThreadPool pool(threads);
@@ -124,11 +122,12 @@ ExperimentRunner::runAll(const std::vector<ExperimentConfig> &cfgs,
         TrialContext ctx{i, streamSeed(seed, i),
                          Rng::forStream(seed, i)};
         fns[e](ctx, slots[e][i]);
+        // acq_rel: the last finisher sees every other trial's slot.
+        if (pending[e].fetch_sub(1, std::memory_order_acq_rel) == 1) {
+            results[e] = merge(cfgs[e], threads, slots[e]);
+            std::vector<TrialRecorder>().swap(slots[e]);
+        }
     });
-
-    std::vector<ExperimentResult> results;
-    for (std::size_t e = 0; e < cfgs.size(); ++e)
-        results.push_back(merge(cfgs[e], threads, slots[e]));
     return results;
 }
 

@@ -6,8 +6,8 @@
  * eviction set, monitor a victim, ...).  The runner fans trials across
  * a thread pool, hands each trial its own positionally-derived RNG
  * stream (streamSeed(master, trial)), buffers every trial's recorded
- * samples in a per-trial slot, and only after all workers join merges
- * the slots *in trial order* into SampleStats / SuccessRate
+ * samples in a per-trial slot, and only after the last trial finishes
+ * merges the slots *in trial order* into SampleStats / SuccessRate
  * aggregates.  Consequently the aggregate — and the JSON serialisation
  * of it — is bit-identical whatever the worker count or OS schedule:
  * `LLCF_THREADS=1` and `LLCF_THREADS=8` runs of a bench produce the
@@ -141,7 +141,7 @@ class ExperimentResult
 
 /**
  * Runs experiments.  Construct once per bench (the pool is created
- * per run() call, sized to the experiment's thread setting).
+ * per run() or runAll() call, sized to its thread setting).
  */
 class ExperimentRunner
 {
@@ -153,8 +153,8 @@ class ExperimentRunner
     const ExperimentConfig &config() const { return cfg_; }
 
     /**
-     * Execute all trials of @p fn and aggregate.  A trial that throws
-     * aborts the run by rethrowing after the pool drains.
+     * Execute all trials of @p fn and aggregate: runAll() of this one
+     * experiment, on cfg.threads workers.
      */
     ExperimentResult run(const TrialFn &fn) const;
 
@@ -162,9 +162,12 @@ class ExperimentRunner
      * Run several experiments' trials on one pool of @p threads
      * workers (0: LLCF_THREADS or hardware concurrency), so an
      * experiment with fewer trials than workers leaves the rest of the
-     * pool to the next.  Result i is identical to
-     * ExperimentRunner(cfgs[i]).run(fns[i]); the configs' own thread
-     * counts are ignored.
+     * pool to the next.  Result i depends only on cfgs[i]'s name,
+     * trials and seed and on fns[i]; the configs' own thread counts
+     * are ignored.  Each experiment is merged, and its per-trial
+     * samples freed, as soon as its last trial finishes.  A trial
+     * that throws aborts the batch by rethrowing after the pool
+     * drains.
      */
     static std::vector<ExperimentResult> runAll(
         const std::vector<ExperimentConfig> &cfgs,

@@ -998,7 +998,13 @@ scenarioSuite(const ScenarioSpec &spec)
                                   : ScenarioSuite::E2e;
       case ScenarioStage::Calibrate:
         return ScenarioSuite::Calib;
-      default:
+      case ScenarioStage::EvsetBuild:
+      case ScenarioStage::Scan:
+      case ScenarioStage::EndToEnd:
+      case ScenarioStage::Background:
+      case ScenarioStage::TestEviction:
+      case ScenarioStage::Covert:
+      case ScenarioStage::EvsetBulk:
         break;
     }
     return ScenarioSuite::Matrix;

@@ -309,6 +309,37 @@ TEST(Experiment, SeedChangesResults)
               b.metric("value")->samples());
 }
 
+TEST(Experiment, RunAllEqualsEachExperimentAlone)
+{
+    // Uneven batch, an empty experiment included: each result is the
+    // experiment's own run, whatever the pool size.
+    const std::size_t trials[] = {5, 0, 17, 1};
+    std::vector<ExperimentConfig> cfgs;
+    std::vector<ExperimentRunner::TrialFn> fns;
+    for (std::size_t e = 0; e < 4; ++e) {
+        ExperimentConfig cfg;
+        cfg.name = "batch" + std::to_string(e);
+        cfg.trials = trials[e];
+        cfg.masterSeed = 20 + e;
+        cfgs.push_back(cfg);
+        fns.emplace_back(noisyTrial);
+    }
+    for (unsigned threads : {1u, 3u, 8u}) {
+        std::vector<ExperimentResult> batch =
+            ExperimentRunner::runAll(cfgs, fns, threads);
+        ASSERT_EQ(batch.size(), cfgs.size());
+        for (std::size_t e = 0; e < cfgs.size(); ++e) {
+            ExperimentConfig alone = cfgs[e];
+            alone.threads = 1;
+            JsonWriter a, b;
+            ExperimentRunner(alone).run(noisyTrial).writeJson(a);
+            batch[e].writeJson(b);
+            EXPECT_EQ(b.str(), a.str()) << cfgs[e].name;
+            EXPECT_EQ(batch[e].threadsUsed(), threads);
+        }
+    }
+}
+
 TEST(Experiment, SuiteJsonIsDeterministic)
 {
     auto build = [](unsigned threads) {
